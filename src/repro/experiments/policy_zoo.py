@@ -5,8 +5,11 @@ workload's trace is one content-addressed ``workload:<name>`` RunSpec —
 recorded once, replayed from the artifact cache — and each cell is a
 deterministic pure function of that trace (see
 :mod:`repro.policies.eval`), so the whole 60-cell sweep costs three
-recordings on a cold cache and zero on a warm one. Cells carry their own
-:func:`~repro.policies.eval.cell_key` content address in the row data.
+recordings on a cold cache and zero on a warm one. Each trace is folded
+onto its objects' page index once (a
+:class:`~repro.policies.eval.PageTrace`) and shared by that workload's
+20 cells. Cells carry their own :func:`~repro.policies.eval.cell_key`
+content address in the row data.
 
 Budgets are scale-invariant: ``factor x`` the workload's mean memory-level
 writes per object page, so "tight" (2x) and "loose" (64x) mean the same
@@ -17,7 +20,13 @@ from __future__ import annotations
 
 from repro.experiments.common import ExperimentContext, ExperimentResult
 from repro.nvram.technology import PCRAM, STTRAM
-from repro.policies import ObjectSpan, cell_key, create_policy, evaluate_policy
+from repro.policies import (
+    ObjectSpan,
+    PageTrace,
+    cell_key,
+    create_policy,
+    evaluate_policy,
+)
 from repro.scavenger.report import format_table
 
 #: recorded at context fidelity through the engine (the sweep's record
@@ -53,13 +62,14 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
                    for m in app_run.result.object_metrics]
         trace = app_run.memory_trace
         classified = app_run.result.classified
+        index = PageTrace.build(trace, objects)
         for device in DEVICES:
             for factor in BUDGET_FACTORS:
                 budget = _budget(trace, objects, factor)
                 for pname, params in POLICY_GRID:
                     policy = create_policy(pname, **params)
                     stats = evaluate_policy(
-                        policy, trace, objects, device, budget,
+                        policy, index, objects, device, budget,
                         classified=classified, seed=ctx.seed,
                         workload=wname, n_iterations=ctx.n_iterations)
                     row = stats.as_row()
@@ -67,6 +77,8 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
                     row["cell"] = cell_key(spec.key, pname, policy.params(),
                                            device.name, budget)
                     rows.append(row)
+        # one workload's index alive at a time
+        del index
 
     # the rendered table shows the PCRAM / tight-budget slice; the full
     # grid (including STTRAM and the loose budget) is in the row data

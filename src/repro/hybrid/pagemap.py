@@ -25,7 +25,10 @@ class PageMap:
     """Sparse page -> pool mapping with vectorized lookup.
 
     Pages are keyed by page number (address // page_bytes). Unmapped pages
-    default to DRAM (the safe home).
+    default to DRAM (the safe home). The map is two parallel arrays kept
+    sorted by key — ``uint64`` page numbers (pages near the top of the
+    address space do not fit ``int64``) and ``int8`` pools — so a batch
+    lookup is one ``searchsorted`` with nothing to rebuild.
     """
 
     def __init__(self, page_bytes: int = 4096) -> None:
@@ -33,7 +36,8 @@ class PageMap:
             raise PlacementError("page_bytes must be a positive power of two")
         self.page_bytes = page_bytes
         self._shift = page_bytes.bit_length() - 1
-        self._pages: dict[int, MemoryPool] = {}
+        self._keys = np.empty(0, dtype=np.uint64)
+        self._pools = np.empty(0, dtype=np.int8)
         self.migrations = 0
 
     # ------------------------------------------------------------------
@@ -53,54 +57,66 @@ class PageMap:
         last = (base + size - 1) >> self._shift
         return np.arange(first, last + 1, dtype=np.uint64)
 
+    def _find(self, page) -> tuple[int, bool]:
+        """(insertion index, present) of one page number."""
+        key = np.uint64(page)
+        i = int(np.searchsorted(self._keys, key))
+        return i, i < len(self._keys) and self._keys[i] == key
+
     # ------------------------------------------------------------------
     def assign_range(self, base: int, size: int, pool: MemoryPool) -> int:
         """Map every page of ``[base, base+size)`` to *pool*; returns pages."""
         pages = self.pages_of_range(base, size)
-        for p in pages:
-            self._pages[int(p)] = pool
+        if len(pages):
+            # the range is contiguous, so the keys it covers are one run
+            # [lo, hi) of the sorted arrays: splice the range in its place
+            lo = int(np.searchsorted(self._keys, pages[0], side="left"))
+            hi = int(np.searchsorted(self._keys, pages[-1], side="right"))
+            self._keys = np.concatenate(
+                (self._keys[:lo], pages, self._keys[hi:]))
+            self._pools = np.concatenate(
+                (self._pools[:lo], np.full(len(pages), int(pool), np.int8),
+                 self._pools[hi:]))
         return len(pages)
 
     def migrate_page(self, page: int, pool: MemoryPool) -> bool:
-        """Move one page; returns True if it actually changed pools."""
-        old = self._pages.get(page, MemoryPool.DRAM)
-        if old is pool:
-            return False
-        self._pages[page] = pool
+        """Move one page; returns True if it actually changed pools.
+
+        An unmapped page is DRAM, so moving it to NVRAM maps it."""
+        pool = MemoryPool(pool)
+        i, present = self._find(page)
+        if present:
+            if self._pools[i] == pool:
+                return False
+            self._pools[i] = pool
+        else:
+            if pool is MemoryPool.DRAM:
+                return False
+            self._keys = np.insert(self._keys, i, np.uint64(page))
+            self._pools = np.insert(self._pools, i, np.int8(pool))
         self.migrations += 1
         return True
 
     def pool_of(self, addr: int) -> MemoryPool:
-        return self._pages.get(addr >> self._shift, MemoryPool.DRAM)
+        return self.pool_of_page(addr >> self._shift)
 
     def pool_of_page(self, page: int) -> MemoryPool:
         """Pool of one page number (unmapped pages default to DRAM)."""
-        return self._pages.get(int(page), MemoryPool.DRAM)
+        i, present = self._find(page)
+        return MemoryPool(int(self._pools[i])) if present else MemoryPool.DRAM
 
     def pool_of_batch(self, addrs: np.ndarray) -> np.ndarray:
         """Vectorized pool lookup; returns int8 array of MemoryPool values."""
         pages = np.asarray(addrs, dtype=np.uint64) >> np.uint64(self._shift)
-        if not self._pages:
+        if not len(self._keys):
             return np.zeros(pages.shape, dtype=np.int8)
-        # uint64 throughout: page numbers near the top of the address
-        # space do not fit int64
-        keys = np.fromiter(self._pages.keys(), dtype=np.uint64, count=len(self._pages))
-        vals = np.fromiter(
-            (int(v) for v in self._pages.values()), dtype=np.int8, count=len(self._pages)
-        )
-        order = np.argsort(keys)
-        keys = keys[order]
-        vals = vals[order]
-        pos = np.searchsorted(keys, pages)
-        out = np.zeros(pages.shape, dtype=np.int8)
-        ok = (pos < len(keys)) & (keys[np.minimum(pos, len(keys) - 1)] == pages)
-        out[ok] = vals[pos[ok]]
-        return out
+        pos = np.minimum(np.searchsorted(self._keys, pages), len(self._keys) - 1)
+        return np.where(self._keys[pos] == pages, self._pools[pos], np.int8(0))
 
     # ------------------------------------------------------------------
     def bytes_in_pool(self, pool: MemoryPool) -> int:
-        return sum(1 for p in self._pages.values() if p is pool) * self.page_bytes
+        return int(np.count_nonzero(self._pools == int(pool))) * self.page_bytes
 
     @property
     def mapped_pages(self) -> int:
-        return len(self._pages)
+        return len(self._keys)

@@ -24,6 +24,7 @@ from repro.policies.zoo import (
 )
 from repro.policies.eval import (
     LINE_BYTES,
+    PageTrace,
     PolicyCellStats,
     cell_key,
     evaluate_policy,
@@ -43,6 +44,7 @@ __all__ = [
     "PredictiveMigration",
     "EnduranceAware",
     "LINE_BYTES",
+    "PageTrace",
     "PolicyCellStats",
     "cell_key",
     "evaluate_policy",

@@ -1,14 +1,18 @@
 """The placement/migration policy contract.
 
-A policy owns one :class:`~repro.hybrid.pagemap.PageMap` for the duration
-of one evaluated run: it lays down the initial placement in
-:meth:`PlacementPolicy.prepare`, watches the replayed reference stream
-through :meth:`observe` (and, for emergency demotions, :meth:`pre_access`),
-and acts at epoch boundaries in :meth:`end_epoch`. The shape follows the
-data-migration strategy base classes of HBM/NVM serving simulators: a
-small ABC with a no-op baseline subclass, concrete strategies overriding
-one decision method, and every knob passed explicitly so a policy instance
-is a pure function of (trace, parameters, seed).
+A policy decides, for one evaluated run, which pool holds each page of
+the workload's objects. It lays down the initial placement in
+:meth:`PlacementPolicy.prepare` through a
+:class:`~repro.hybrid.pagemap.PageMap`; from then on the placement is
+two arrays over the trace's page index (``ctx.pool`` and ``ctx.wear``),
+and the policy watches the replayed stream as per-batch page counts
+through :meth:`observe` (and, for emergency demotions,
+:meth:`pre_access`) and acts at epoch boundaries in :meth:`end_epoch`.
+The shape follows the data-migration strategy base classes of HBM/NVM
+serving simulators: a small ABC with a no-op baseline subclass, concrete
+strategies overriding one decision method, and every knob passed
+explicitly so a policy instance is a pure function of (trace,
+parameters, seed).
 
 Policies never read wall clocks, module globals, or unsorted dict/set
 iteration order — the sweep's cells must be bit-identical across
@@ -25,7 +29,6 @@ import numpy as np
 from repro.hybrid.pagemap import MemoryPool, PageMap
 from repro.nvram.technology import DRAM_DDR3, MemoryTechnology
 from repro.scavenger.classify import Classified
-from repro.trace.record import RefBatch
 
 
 @dataclass(frozen=True)
@@ -40,27 +43,41 @@ class ObjectSpan:
 
 @dataclass
 class PolicyContext:
-    """Everything a bound policy may consult while it runs."""
+    """Everything a bound policy may consult while it runs.
 
-    page_map: PageMap
+    A position ``i`` in :attr:`pool`, :attr:`wear` and the hooks' ``pos``
+    arguments names the object page ``pages[i]``. Only
+    :meth:`PlacementPolicy.prepare` sees :attr:`page_map`: the evaluator
+    then reads the placement into :attr:`pool` once and detaches the map,
+    so every later decision reads and moves the live arrays.
+    """
+
+    #: the map ``prepare()`` fills; ``None`` once the run starts
+    page_map: PageMap | None
     device: MemoryTechnology
     objects: tuple[ObjectSpan, ...]
     #: tolerated writes per NVM page over the evaluated window; policies
-    #: that respect it keep ``max(wear.values()) <= endurance_budget``
+    #: that respect it keep ``wear.max() <= endurance_budget``
     endurance_budget: int
     rng: np.random.Generator
+    #: the page index: sorted ``uint64`` page numbers of the objects
+    pages: np.ndarray
+    page_bytes: int = 4096
     dram: MemoryTechnology = DRAM_DDR3
     #: NV-SCAVENGER classifications, when the caller ran the analyzers
     #: (oracle-style policies require them; others may ignore them)
     classified: list[Classified] | None = None
-    #: page -> accumulated NVM write count, maintained by the evaluator
-    #: (reference writes) and by :meth:`PlacementPolicy.migrate` (fills)
-    wear: dict[int, int] = field(default_factory=dict)
     n_iterations: int = 10
+    #: ``int8`` :class:`MemoryPool` value per indexed page
+    pool: np.ndarray = field(init=False)
+    #: ``int64`` accumulated NVM writes per indexed page, maintained by
+    #: the evaluator (reference writes) and by
+    #: :meth:`PlacementPolicy.migrate` (fills)
+    wear: np.ndarray = field(init=False)
 
-    @property
-    def page_bytes(self) -> int:
-        return self.page_map.page_bytes
+    def __post_init__(self) -> None:
+        self.pool = np.zeros(len(self.pages), dtype=np.int8)
+        self.wear = np.zeros(len(self.pages), dtype=np.int64)
 
 
 class PlacementPolicy(ABC):
@@ -97,16 +114,26 @@ class PlacementPolicy(ABC):
         self.prepare()
 
     # -------------------------------------------------- decision hooks
+    #
+    # A batch reaches the hooks as three parallel arrays: ``pos``, the
+    # sorted int32 index positions of the object pages it references,
+    # and ``writes`` / ``reads``, its int64 store / load counts per page.
+    # References to pages off the index (stacks) are DRAM traffic no
+    # policy can move, so the hooks never see them. The arrays are
+    # shared by every cell over the trace and are read-only.
+
     @abstractmethod
     def prepare(self) -> None:
         """Initial placement into ``self.ctx.page_map``."""
 
-    def pre_access(self, batch: RefBatch) -> None:
-        """Called before *batch* is charged to the pools — the only hook
-        that can act ahead of traffic (endurance guards)."""
+    def pre_access(self, pos: np.ndarray, writes: np.ndarray,
+                   reads: np.ndarray) -> None:
+        """Called before the batch is charged to the pools — the only
+        hook that can act ahead of traffic (endurance guards)."""
 
-    def observe(self, batch: RefBatch) -> None:
-        """Called after *batch* is charged; accumulate statistics here."""
+    def observe(self, pos: np.ndarray, writes: np.ndarray,
+                reads: np.ndarray) -> None:
+        """Called after the batch is charged; accumulate statistics here."""
 
     def end_epoch(self, iteration: int) -> None:
         """Called at each iteration boundary; issue migrations here."""
@@ -118,41 +145,28 @@ class PlacementPolicy(ABC):
         for obj in self.ctx.objects:
             self.ctx.page_map.assign_range(obj.base, obj.size, pool)
 
-    def migrate(self, page: int, pool: MemoryPool) -> bool:
-        """Move one page, with the accounting every policy shares: a
-        promotion/demotion copies ``page_bytes``, and a page filled into
-        NVM wears its cells once."""
+    def migrate(self, pos: np.ndarray, pool: MemoryPool) -> np.ndarray:
+        """Move the pages at the (unique) index positions *pos* to
+        *pool*, with the accounting every policy shares: a promotion or
+        demotion copies ``page_bytes``, and a page filled into NVM wears
+        its cells once. Pages already in *pool* are skipped; returns the
+        positions that moved."""
         assert self.ctx is not None
-        pm = self.ctx.page_map
-        if not pm.migrate_page(int(page), pool):
-            return False
+        ctx = self.ctx
+        pos = np.asarray(pos)
+        moved = pos[ctx.pool[pos] != pool]
+        ctx.pool[moved] = pool
         if pool is MemoryPool.NVRAM:
-            self.to_nvram += 1
-            self.ctx.wear[int(page)] = self.ctx.wear.get(int(page), 0) + 1
+            self.to_nvram += len(moved)
+            ctx.wear[moved] += 1
         else:
-            self.to_dram += 1
-        self.bytes_moved += pm.page_bytes
-        return True
+            self.to_dram += len(moved)
+        self.bytes_moved += len(moved) * ctx.page_bytes
+        return moved
 
     @property
     def migrations(self) -> int:
         return self.to_dram + self.to_nvram
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def page_counts(addrs: np.ndarray, page_bytes: int) -> tuple[list[int], list[int]]:
-        """(pages, counts) of the given addresses, page-sorted."""
-        if len(addrs) == 0:
-            return [], []
-        shift = np.uint64(page_bytes.bit_length() - 1)
-        uniq, counts = np.unique(np.asarray(addrs, np.uint64) >> shift,
-                                 return_counts=True)
-        return [int(p) for p in uniq.tolist()], [int(c) for c in counts.tolist()]
-
-    @classmethod
-    def write_pages(cls, batch: RefBatch, page_bytes: int) -> tuple[list[int], list[int]]:
-        """(pages, counts) of the batch's store references, page-sorted."""
-        return cls.page_counts(batch.addr[batch.is_write], page_bytes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kv = ", ".join(f"{k}={v!r}" for k, v in self._params.items())

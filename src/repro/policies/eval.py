@@ -8,6 +8,11 @@ replayed batches, so a 60-cell sweep re-reads three artifacts instead of
 executing 60 runs. :func:`cell_key` hashes the full cell identity the
 same way :class:`~repro.engine.spec.RunSpec` hashes run identity.
 
+The trace is folded once onto its objects' page index (a
+:class:`PageTrace`): every cell over that workload then charges each
+batch with one gather over the pages it touches, and the policies'
+rules run as array expressions over the index.
+
 Accounting conventions (shared with :mod:`repro.hybrid.dramcache`):
 NVM reads pay the device read latency; NVM writes are posted through the
 controller's write buffer at DRAM-class latency but cost NVM write
@@ -24,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.errors import PolicyError
 from repro.hybrid.energy import access_energy_nj
 from repro.hybrid.pagemap import MemoryPool, PageMap
 from repro.nvram.technology import DRAM_DDR3, MemoryTechnology
@@ -123,9 +129,86 @@ class PolicyCellStats:
         }
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class PageBatch:
+    """One non-empty trace batch folded onto a :class:`PageTrace` index."""
+
+    iteration: int
+    #: sorted ``int32`` index positions of the object pages it touches
+    pos: np.ndarray
+    #: ``int64`` store / load references per position
+    writes: np.ndarray
+    reads: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class PageTrace:
+    """A replayed trace folded onto its objects' page index.
+
+    ``pages`` is the sorted ``uint64`` universe of the objects' pages.
+    Each non-empty batch keeps, per object page it touches, that page's
+    position in ``pages`` and its write and read counts. While folding,
+    references to pages off the index (stacks, which stay DRAM) land in
+    one sentinel slot past its end; they count toward ``refs`` and so
+    toward DRAM traffic, and no policy sees them. Built once per recorded
+    workload and shared, read-only, by every cell evaluated over it.
+    """
+
+    objects: tuple[ObjectSpan, ...]
+    page_bytes: int
+    pages: np.ndarray
+    batches: tuple[PageBatch, ...]
+    #: every reference in the trace, object pages or not
+    refs: int
+    total_writes: int
+
+    @classmethod
+    def build(cls, trace: list[RefBatch], objects: list[ObjectSpan],
+              page_bytes: int = 4096) -> PageTrace:
+        """Fold *trace* onto the page index of *objects*."""
+        objects = tuple(objects)
+        ranges = PageMap(page_bytes)
+        pages = np.unique(np.concatenate(
+            [ranges.pages_of_range(o.base, o.size) for o in objects]
+            or [np.empty(0, np.uint64)]))
+        n = len(pages)
+        shift = np.uint64(page_bytes.bit_length() - 1)
+        batches = []
+        refs = total_writes = 0
+        for batch in trace:
+            if len(batch) == 0:
+                continue
+            page = batch.addr >> shift
+            # off-index references go to the sentinel slot n, which the
+            # [:n] below drops
+            pos = np.searchsorted(pages, page)
+            off = pos == n
+            off[~off] = pages[pos[~off]] != page[~off]
+            pos[off] = n
+            w = batch.is_write
+            writes = np.bincount(pos[w], minlength=n + 1)[:n]
+            reads = np.bincount(pos[~w], minlength=n + 1)[:n]
+            touched = np.flatnonzero(writes | reads)
+            batches.append(PageBatch(
+                iteration=batch.iteration,
+                pos=_read_only(touched.astype(np.int32)),
+                writes=_read_only(writes[touched]),
+                reads=_read_only(reads[touched])))
+            refs += len(batch)
+            total_writes += int(np.count_nonzero(w))
+        return cls(objects=objects, page_bytes=page_bytes,
+                   pages=_read_only(pages), batches=tuple(batches),
+                   refs=refs, total_writes=total_writes)
+
+
 def evaluate_policy(
     policy: PlacementPolicy,
-    trace: list[RefBatch],
+    trace: PageTrace | list[RefBatch],
     objects: list[ObjectSpan],
     device: MemoryTechnology,
     endurance_budget: int,
@@ -139,65 +222,72 @@ def evaluate_policy(
 ) -> PolicyCellStats:
     """Run *policy* over *trace* and account one sweep cell.
 
-    Pure and deterministic: same (trace, policy params, device, budget,
-    seed) always yields an identical :class:`PolicyCellStats`.
+    *trace* is a :class:`PageTrace` of *objects* — build it once and
+    pass it to every cell over the same workload — or the replayed
+    batches, which are folded here. Pure and deterministic: same (trace,
+    policy params, device, budget, seed) always yields an identical
+    :class:`PolicyCellStats`.
     """
+    index = (trace if isinstance(trace, PageTrace)
+             else PageTrace.build(trace, objects, page_bytes))
+    if index.page_bytes != page_bytes or index.objects != tuple(objects):
+        raise PolicyError(
+            "the page trace was built over other objects or another page size")
     page_map = PageMap(page_bytes)
     ctx = PolicyContext(
         page_map=page_map,
         device=device,
         dram=dram,
-        objects=tuple(objects),
+        objects=index.objects,
         classified=classified,
         endurance_budget=int(endurance_budget),
         rng=make_rng(seed),
+        pages=index.pages,
+        page_bytes=page_bytes,
         n_iterations=n_iterations,
     )
     policy.bind(ctx)
+    # the one read of the placement prepare() laid down: from here on the
+    # index arrays are the placement, and no hook can reach the map
+    ctx.pool = page_map.pool_of_batch(
+        index.pages << np.uint64(page_bytes.bit_length() - 1))
+    ctx.page_map = None
 
     stats = PolicyCellStats(
         policy=policy.name, workload=workload, device=device.name,
         endurance_budget=int(endurance_budget), params=policy.params())
-    shift = np.uint64(page_bytes.bit_length() - 1)
+    nvram = int(MemoryPool.NVRAM)
     epoch = None
-    for batch in trace:
-        if len(batch) == 0:
-            continue
+    for batch in index.batches:
         if epoch is None:
             epoch = batch.iteration
         elif batch.iteration != epoch:
             policy.end_epoch(epoch)
             epoch = batch.iteration
-        policy.pre_access(batch)
-        pools = page_map.pool_of_batch(batch.addr)
-        in_nv = pools == int(MemoryPool.NVRAM)
-        w = batch.is_write
-        nv_w_mask = in_nv & w
-        stats.accesses += len(batch)
-        stats.nvm_reads += int((in_nv & ~w).sum())
-        nv_w = int(nv_w_mask.sum())
-        stats.nvm_writes += nv_w
-        stats.dram_accesses += int((~in_nv).sum())
-        if nv_w:
-            pages = batch.addr[nv_w_mask] >> shift
-            uniq, counts = np.unique(pages, return_counts=True)
-            for p, c in zip(uniq.tolist(), counts.tolist()):
-                ctx.wear[int(p)] = ctx.wear.get(int(p), 0) + int(c)
-        policy.observe(batch)
+        policy.pre_access(batch.pos, batch.writes, batch.reads)
+        in_nv = ctx.pool[batch.pos] == nvram
+        nv_writes = batch.writes[in_nv]
+        stats.nvm_writes += int(nv_writes.sum())
+        stats.nvm_reads += int(batch.reads[in_nv].sum())
+        ctx.wear[batch.pos[in_nv]] += nv_writes
+        policy.observe(batch.pos, batch.writes, batch.reads)
     if epoch is not None:
         policy.end_epoch(epoch)
+    stats.accesses = index.refs
+    stats.dram_accesses = index.refs - stats.nvm_reads - stats.nvm_writes
 
     stats.to_dram = policy.to_dram
     stats.to_nvram = policy.to_nvram
     stats.bytes_moved = policy.bytes_moved
     lines_per_page = page_bytes // LINE_BYTES
     stats.nvm_fill_writes = policy.to_nvram * lines_per_page
-    stats.max_page_wear = max(ctx.wear.values(), default=0)
+    stats.max_page_wear = int(ctx.wear.max(initial=0))
 
     # residency: object bytes not mapped to NVM live in DRAM (unmapped
     # pages — stacks — are DRAM by definition and excluded here)
     total_bytes = sum(o.size for o in objects)
-    stats.nvram_resident_bytes = page_map.bytes_in_pool(MemoryPool.NVRAM)
+    stats.nvram_resident_bytes = (
+        int(np.count_nonzero(ctx.pool == nvram)) * page_bytes)
     stats.dram_resident_bytes = max(0, total_bytes - stats.nvram_resident_bytes)
 
     # latency: posted NVM writes and all DRAM traffic at DRAM latency
@@ -219,7 +309,7 @@ def evaluate_policy(
     stats.energy_nj = energy
 
     # all-DRAM baseline: same references, everything at DRAM cost
-    total_writes = int(sum(int(b.is_write.sum()) for b in trace))
+    total_writes = index.total_writes
     total_reads = stats.accesses - total_writes
     base_latency = stats.accesses * dram.read_latency_ns
     base = access_energy_nj(dram, total_reads, total_writes)

@@ -4,17 +4,22 @@ Five strategies spanning the design space the related work argues about:
 a do-nothing baseline, the paper's static NV-SCAVENGER plan, reactive
 threshold migration with hysteresis, EWMA-predictive migration, and a
 wear-budgeted endurance guard. Each is ~30 lines: the ABC carries the
-shared accounting, a policy only encodes its decision rule.
+shared accounting, a policy only encodes its decision rule — as array
+expressions over the page index, one score slot per object page. Every
+page's decision depends only on its own scores, pool and wear, so a rule
+applied to the whole index at once decides exactly what a page-by-page
+walk would.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.errors import PolicyError
 from repro.hybrid.pagemap import MemoryPool
 from repro.hybrid.placement import StaticPlacer
 from repro.policies.base import PlacementPolicy
 from repro.policies.registry import register_policy
-from repro.trace.record import RefBatch
 
 
 @register_policy
@@ -84,43 +89,33 @@ class ThresholdMigration(PlacementPolicy):
         self.write_hot = write_hot
         self.hysteresis = hysteresis
         self.decay = decay
-        self._w: dict[int, float] = {}
-        self._r: dict[int, float] = {}
-        self._promoted: set[int] = set()
 
     def bind(self, ctx) -> None:
-        self._w.clear()
-        self._r.clear()
-        self._promoted.clear()
+        n = len(ctx.pages)
+        self._w = np.zeros(n)
+        self._r = np.zeros(n)
+        self._promoted = np.zeros(n, dtype=bool)
         super().bind(ctx)
 
     def prepare(self) -> None:
         self.place_all(MemoryPool.NVRAM)
 
-    def observe(self, batch: RefBatch) -> None:
-        pb = self.ctx.page_bytes
-        for page, count in zip(*self.page_counts(batch.addr[batch.is_write], pb)):
-            self._w[page] = self._w.get(page, 0.0) + count
-        for page, count in zip(*self.page_counts(batch.addr[~batch.is_write], pb)):
-            self._r[page] = self._r.get(page, 0.0) + count
+    def observe(self, pos, writes, reads) -> None:
+        self._w[pos] += writes
+        self._r[pos] += reads
 
     def end_epoch(self, iteration: int) -> None:
-        pm = self.ctx.page_map
-        for page in sorted(set(self._w) | set(self._r)):
-            w = self._w.get(page, 0.0)
-            r = self._r.get(page, 0.0)
-            if w >= self.write_hot and pm.pool_of_page(page) is MemoryPool.NVRAM:
-                if self.migrate(page, MemoryPool.DRAM):
-                    self._promoted.add(page)
-            elif (page in self._promoted and w <= self.write_hot * self.hysteresis
-                  and w < 1.0 and r > 0.0):
-                if self.migrate(page, MemoryPool.NVRAM):
-                    self._promoted.discard(page)
-        for score in (self._w, self._r):
-            for page in list(score):
-                score[page] *= self.decay
-                if score[page] < 1e-6:
-                    del score[page]
+        w, r = self._w, self._r
+        promote = (w >= self.write_hot) & (self.ctx.pool == MemoryPool.NVRAM)
+        # a page is demoted only when it is not being promoted
+        demote = (~promote & self._promoted
+                  & (w <= self.write_hot * self.hysteresis) & (w < 1.0)
+                  & (r > 0.0))
+        self._promoted[self.migrate(np.flatnonzero(promote), MemoryPool.DRAM)] = True
+        self._promoted[self.migrate(np.flatnonzero(demote), MemoryPool.NVRAM)] = False
+        for score in (w, r):
+            score *= self.decay
+            score[score < 1e-6] = 0.0
 
 
 @register_policy
@@ -147,42 +142,37 @@ class PredictiveMigration(PlacementPolicy):
         self.alpha = alpha
         self.write_hot = write_hot
         self.demote_margin = demote_margin
-        self._epoch_w: dict[int, int] = {}
-        self._ewma: dict[int, float] = {}
-        self._promoted: set[int] = set()
 
     def bind(self, ctx) -> None:
-        self._epoch_w.clear()
-        self._ewma.clear()
-        self._promoted.clear()
+        n = len(ctx.pages)
+        self._epoch_w = np.zeros(n, dtype=np.int64)
+        #: the forecast map: 0.0 marks a page without a forecast
+        self._ewma = np.zeros(n)
+        self._promoted = np.zeros(n, dtype=bool)
         super().bind(ctx)
 
     def prepare(self) -> None:
         self.place_all(MemoryPool.NVRAM)
 
-    def observe(self, batch: RefBatch) -> None:
-        for page, count in zip(*self.write_pages(batch, self.ctx.page_bytes)):
-            self._epoch_w[page] = self._epoch_w.get(page, 0) + count
+    def observe(self, pos, writes, reads) -> None:
+        self._epoch_w[pos] += writes
 
     def end_epoch(self, iteration: int) -> None:
-        pm = self.ctx.page_map
-        for page in sorted(set(self._ewma) | set(self._epoch_w)):
-            count = self._epoch_w.get(page, 0)
-            pred = (self.alpha * count
-                    + (1.0 - self.alpha) * self._ewma.get(page, 0.0))
-            if pred < 1e-3:
-                self._ewma.pop(page, None)
-            else:
-                self._ewma[page] = pred
-            if pred >= self.write_hot:
-                if (pm.pool_of_page(page) is MemoryPool.NVRAM
-                        and self.migrate(page, MemoryPool.DRAM)):
-                    self._promoted.add(page)
-            elif (pred < self.write_hot * self.demote_margin
-                  and page in self._promoted):
-                if self.migrate(page, MemoryPool.NVRAM):
-                    self._promoted.discard(page)
-        self._epoch_w.clear()
+        count = self._epoch_w
+        pred = self.alpha * count + (1.0 - self.alpha) * self._ewma
+        # only pages with a forecast or writes this epoch are decided: a
+        # page that left the forecast map stays put until written again
+        live = (self._ewma > 0.0) | (count > 0)
+        hot = live & (pred >= self.write_hot)
+        promote = hot & (self.ctx.pool == MemoryPool.NVRAM)
+        # a forecast dropping below 1e-3 leaves the map in this same step,
+        # and the page can still be demoted on it
+        demote = (live & ~hot & (pred < self.write_hot * self.demote_margin)
+                  & self._promoted)
+        self._ewma = np.where(pred < 1e-3, 0.0, pred)
+        self._promoted[self.migrate(np.flatnonzero(promote), MemoryPool.DRAM)] = True
+        self._promoted[self.migrate(np.flatnonzero(demote), MemoryPool.NVRAM)] = False
+        count[:] = 0
 
 
 @register_policy
@@ -205,35 +195,25 @@ class EnduranceAware(PlacementPolicy):
         super().__init__(write_hot=write_hot, decay=decay)
         self.write_hot = write_hot
         self.decay = decay
-        self._w: dict[int, float] = {}
 
     def bind(self, ctx) -> None:
-        self._w.clear()
+        self._w = np.zeros(len(ctx.pages))
         super().bind(ctx)
 
     def prepare(self) -> None:
         self.place_all(MemoryPool.NVRAM)
 
-    def pre_access(self, batch: RefBatch) -> None:
+    def pre_access(self, pos, writes, reads) -> None:
         ctx = self.ctx
-        pm = ctx.page_map
-        budget = ctx.endurance_budget
-        for page, count in zip(*self.write_pages(batch, ctx.page_bytes)):
-            if (pm.pool_of_page(page) is MemoryPool.NVRAM
-                    and ctx.wear.get(page, 0) + count > budget):
-                self.migrate(page, MemoryPool.DRAM)
+        over = ((writes > 0) & (ctx.pool[pos] == MemoryPool.NVRAM)
+                & (ctx.wear[pos] + writes > ctx.endurance_budget))
+        self.migrate(pos[over], MemoryPool.DRAM)
 
-    def observe(self, batch: RefBatch) -> None:
-        for page, count in zip(*self.write_pages(batch, self.ctx.page_bytes)):
-            self._w[page] = self._w.get(page, 0.0) + count
+    def observe(self, pos, writes, reads) -> None:
+        self._w[pos] += writes
 
     def end_epoch(self, iteration: int) -> None:
-        pm = self.ctx.page_map
-        for page in sorted(self._w):
-            if (self._w[page] >= self.write_hot
-                    and pm.pool_of_page(page) is MemoryPool.NVRAM):
-                self.migrate(page, MemoryPool.DRAM)
-        for page in list(self._w):
-            self._w[page] *= self.decay
-            if self._w[page] < 1e-6:
-                del self._w[page]
+        self.migrate(np.flatnonzero(
+            (self._w >= self.write_hot) & (self.ctx.pool == MemoryPool.NVRAM)), MemoryPool.DRAM)
+        self._w *= self.decay
+        self._w[self._w < 1e-6] = 0.0

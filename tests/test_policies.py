@@ -19,6 +19,7 @@ from repro.nvram.technology import PCRAM, STTRAM
 from repro.policies import (
     POLICIES,
     ObjectSpan,
+    PageTrace,
     PlacementPolicy,
     PolicyCellStats,
     available_policies,
@@ -27,6 +28,7 @@ from repro.policies import (
     evaluate_policy,
     register_policy,
 )
+from repro.trace.record import RefBatch
 
 EXPECTED = {"no_migration", "static_oracle", "threshold", "predictive",
             "endurance_aware"}
@@ -101,13 +103,36 @@ class TestRegistry:
 
 class TestHelpers:
     def test_page_counts_empty(self):
-        assert PlacementPolicy.page_counts(np.empty(0, np.uint64), 4096) == ([], [])
+        # empty batches fold to nothing; the index is the objects' pages
+        index = PageTrace.build([RefBatch.empty(0), RefBatch.empty(3)],
+                                [ObjectSpan(0, "a", 0, 8192)])
+        assert index.batches == ()
+        assert index.refs == index.total_writes == 0
+        assert index.pages.tolist() == [0, 1]
 
     def test_page_counts(self):
-        addrs = np.array([0, 100, 4096, 4097, 8192], dtype=np.uint64)
-        pages, counts = PlacementPolicy.page_counts(addrs, 4096)
-        assert pages == [0, 1, 2]
-        assert counts == [2, 2, 1]
+        # object pages 0..2 (b's 100 bytes own page 2); 0x100000 is a
+        # stack page off the index: it counts as a reference, not a page
+        objects = [ObjectSpan(0, "a", 0, 4097), ObjectSpan(1, "b", 8192, 100)]
+        addrs = np.array([0, 100, 4096, 4097, 8192, 0x100000], np.uint64)
+        writes = np.array([True, False, False, False, True, True])
+        batch = RefBatch(addrs, writes, np.full(6, 8, np.uint8),
+                         np.zeros(6, np.int32), iteration=2)
+        index = PageTrace.build([batch], objects)
+        (b,) = index.batches
+        assert b.iteration == 2
+        assert b.pos.tolist() == [0, 1, 2]
+        assert b.writes.tolist() == [1, 0, 1]
+        assert b.reads.tolist() == [1, 2, 0]
+        assert (index.refs, index.total_writes) == (6, 3)
+        # shared by every cell over the trace, so no hook may write to it
+        assert not b.writes.flags.writeable
+
+    def test_page_trace_must_match_objects(self):
+        index = PageTrace.build([], [ObjectSpan(0, "a", 0, 8192)])
+        with pytest.raises(PolicyError, match="other objects"):
+            evaluate_policy(create_policy("no_migration"), index,
+                            [ObjectSpan(0, "a", 0, 4096)], PCRAM, 10)
 
     def test_cell_key_shape_and_sensitivity(self):
         a = cell_key("spec", "threshold", {"write_hot": 8.0}, "PCRAM", 10)
@@ -238,15 +263,42 @@ class TestDeterminism:
 
 
 class TestPlacementAccounting:
-    def test_migrate_counts_and_wear(self, kv_run):
-        run = kv_run
-        objects = [ObjectSpan(m.oid, m.name, m.base, m.size)
-                   for m in run.result.object_metrics]
-        policy = create_policy("no_migration", home="dram")
-        evaluate_policy(policy, run.memory_trace[:1], objects, PCRAM, 10)
-        page = objects[0].base // 4096
-        assert policy.migrate(page, MemoryPool.NVRAM)
-        assert not policy.migrate(page, MemoryPool.NVRAM)  # already there
+    @staticmethod
+    def bound(home: str) -> PlacementPolicy:
+        """A policy left bound to a four-page index after a run."""
+        policy = create_policy("no_migration", home=home)
+        evaluate_policy(policy, [], [ObjectSpan(0, "a", 0, 4 * 4096)],
+                        PCRAM, 10)
+        assert policy.ctx.page_map is None  # hooks see only the arrays
+        return policy
+
+    def test_migrate_counts_and_wear(self):
+        policy = self.bound("dram")
+        assert policy.migrate(np.array([1]), MemoryPool.NVRAM).tolist() == [1]
         assert policy.to_nvram == 1
         assert policy.bytes_moved == 4096
-        assert policy.ctx.wear[page] == 1  # the fill wore the page once
+        assert policy.ctx.wear.tolist() == [0, 1, 0, 0]  # the fill wore it once
+
+    def test_page_already_in_pool_is_not_counted(self):
+        policy = self.bound("dram")
+        policy.migrate(np.array([1]), MemoryPool.NVRAM)
+        assert policy.migrate(np.array([1]), MemoryPool.NVRAM).size == 0
+        assert policy.migrate(np.array([0]), MemoryPool.DRAM).size == 0
+        assert (policy.to_dram, policy.to_nvram) == (0, 1)
+        assert policy.bytes_moved == 4096
+        assert policy.ctx.wear.tolist() == [0, 1, 0, 0]
+
+    def test_mixed_array_moves_only_changed_pages(self):
+        policy = self.bound("nvram")
+        policy.migrate(np.array([1, 3]), MemoryPool.DRAM)
+        moved = policy.migrate(np.arange(4), MemoryPool.DRAM)
+        assert moved.tolist() == [0, 2]
+        assert policy.ctx.pool.tolist() == [0, 0, 0, 0]
+        assert policy.to_dram == 4
+        moved = policy.migrate(np.array([0, 1, 2]), MemoryPool.NVRAM)
+        assert moved.tolist() == [0, 1, 2]
+        assert policy.ctx.pool.tolist() == [1, 1, 1, 0]
+        # fills wear; demotions do not
+        assert policy.ctx.wear.tolist() == [1, 1, 1, 0]
+        assert (policy.to_dram, policy.to_nvram) == (4, 3)
+        assert policy.bytes_moved == 7 * 4096
