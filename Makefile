@@ -12,8 +12,12 @@ install:
 test:
 	$(PY) -m pytest tests/
 
+# ruff, plus the durable-write lint: outside repro.trace.fsio and the two
+# filesystem shims, src/ may not call os.replace/os.rename/os.fsync or a
+# shim's replace/rename (matches CI's lint job).
 lint:
 	ruff check src tests
+	$(PY) -m pytest -q --noconftest tests/test_durable_write_lint.py
 
 # Fault-injection suite: crash-point sweep, bit-flip detection, fsck/gc.
 # -p no:randomly pins fault points and flip seeds (matches CI's chaos job).
@@ -25,13 +29,15 @@ chaos:
 # Crash-consistency model checker: every durable protocol is run once
 # under a recording FS, then every reachable crash state (drops, torn
 # writes, reordered directory entries) is materialized and recovered.
-# The minimized-reproducer corpus lands in CRASHCHECK_corpus.json
-# (matches CI's crashcheck job, which uploads it as an artifact).
+# The four fsio durable-write primitives get one harness each. The
+# minimized-reproducer corpus lands in CRASHCHECK_corpus.json (matches
+# CI's crashcheck job, which uploads it as an artifact).
 crashcheck:
 	$(PY) -m pytest -p no:randomly -q tests/test_crashcheck_model.py \
 		tests/test_crashcheck_protocols.py \
 		tests/test_crashcheck_regressions.py \
-		tests/test_trace_migrate_crash.py
+		tests/test_trace_migrate_crash.py \
+		tests/test_fsio_primitives.py
 	$(PY) -m repro.cli crashcheck all --corpus CRASHCHECK_corpus.json
 
 bench:

@@ -458,6 +458,7 @@ def cmd_trace_migrate(args: argparse.Namespace) -> int:
 
 
 def cmd_crashcheck(args: argparse.Namespace) -> int:
+    import json
     import tempfile
 
     from repro.crashcheck import PROTOCOLS, run_checker, write_corpus

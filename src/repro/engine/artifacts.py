@@ -60,11 +60,17 @@ from dataclasses import dataclass, field
 from typing import Iterator, List
 
 from repro.errors import CacheLockError, TraceError
-from repro.trace.fsio import content_digest_from_crcs
+from repro.trace.fsio import (
+    content_digest_from_crcs,
+    ensure_dir_chain,
+    publish_dir,
+    publish_file,
+    read_json_or_none,
+)
 from repro.trace.io import OsFS, TraceReader, TraceWriter
 from repro.trace.record import RefBatch
 
-from repro.engine.locks import KeyLock
+from repro.engine.locks import KeyLock, pid_alive
 from repro.engine.spec import RunSpec
 
 _log = logging.getLogger("repro.engine.cache")
@@ -131,16 +137,6 @@ def _host_tag() -> str:
     return hashlib.sha256(socket.gethostname().encode()).hexdigest()[:8]
 
 
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except (PermissionError, OSError):
-        return True
-    return True
-
-
 def _stage_orphan_reason(name: str, age_s: float) -> str | None:
     """Why a staged recording is safe to evict, or None while it may be
     live.
@@ -153,30 +149,10 @@ def _stage_orphan_reason(name: str, age_s: float) -> str | None:
         return f"stale fenced stage ({age_s:.0f}s old, abandoned recording)"
     suffix = name.split(STAGE_MARKER, 1)[-1]
     m = _STAGE_SUFFIX_RE.match(suffix)
-    if m and m.group(3) == _host_tag() and not _pid_alive(int(m.group(2))):
+    if m and m.group(3) == _host_tag() and not pid_alive(int(m.group(2))):
         return (f"orphaned fenced stage (local recorder pid {m.group(2)} "
                 f"is gone)")
     return None
-
-
-def _atomic_bytes(path: str, blob: bytes, fs: OsFS) -> None:
-    tmp = path + ".tmp"
-    try:
-        with fs.open(tmp, "wb") as fh:
-            fh.write(blob)
-            fs.fsync(fh)
-        fs.replace(tmp, path)
-    except BaseException:
-        try:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def _atomic_json(path: str, payload, fs: OsFS) -> None:
-    _atomic_bytes(path, json.dumps(payload, separators=(",", ":")).encode(), fs)
 
 
 def _meta_self_crc(meta: dict) -> int:
@@ -549,13 +525,6 @@ class PendingArtifact:
         final = self._final_dir
         assert final is not None
         committed = os.path.join(final, "meta.json")
-        # the stage's *contents* were each fsync'd, but the directory
-        # entries naming them (the tmp→final renames of meta.json,
-        # events.json, refs.tv3) live in the stage directory's inode —
-        # persist them before that inode is renamed into place, or a
-        # crash after the publish could surface a committed-looking
-        # artifact with members missing (crashcheck: artifact protocol)
-        fs.fsync_dir(self.directory)
         for attempt in range(2):
             if os.path.exists(committed):
                 # someone else committed first: our recording is a
@@ -564,14 +533,7 @@ class PendingArtifact:
                 self._finish()
                 return Artifact(self.key, final)
             try:
-                if os.path.isdir(final):
-                    fs.rmtree(final)
-                fs.rename(self.directory, final)
-                shard = os.path.dirname(final)
-                fs.fsync_dir(shard)
-                # the shard directory itself may be brand new: its entry
-                # lives in the cache root and needs its own fsync
-                fs.fsync_dir(os.path.dirname(shard))
+                publish_dir(self.directory, final, fs)
                 self._finish()
                 return Artifact(self.key, final)
             except OSError:
@@ -592,8 +554,8 @@ class PendingArtifact:
             self._refuse(exc)
         self.writer.close()
         events_blob = json.dumps(events, separators=(",", ":")).encode()
-        _atomic_bytes(os.path.join(self.directory, "events.json"),
-                      events_blob, fs)
+        publish_file(os.path.join(self.directory, "events.json"),
+                     events_blob, fs)
         # events.json has no per-record CRCs like the trace does, so the
         # commit marker carries a whole-file checksum of the exact bytes
         # written — a silent bit flip in an event value is then as
@@ -610,18 +572,16 @@ class PendingArtifact:
         except Exception as exc:
             self._refuse(exc)
         # meta.json last: the commit marker
-        _atomic_json(os.path.join(self.directory, "meta.json"), meta, fs)
+        publish_file(os.path.join(self.directory, "meta.json"),
+                     json.dumps(meta, separators=(",", ":")), fs)
+        # the key (or stage) directory and its shard are themselves just
+        # entries in *their* parents, and an un-fsync'd mkdir can
+        # evaporate in a crash, taking the whole committed artifact with
+        # it: make the chain durable up to the cache root
+        ensure_dir_chain(self.directory, os.path.dirname(os.path.dirname(
+            self.directory)), fs)
         if self._final_dir is not None:
             return self._publish_stage(fs)
-        # make the renames durable: fsync the directory holding them,
-        # then the chain of parents created for this key — the artifact
-        # directory and its shard are themselves just entries in *their*
-        # parents, and an un-fsync'd mkdir can evaporate in a crash,
-        # taking the whole committed artifact with it
-        fs.fsync_dir(self.directory)
-        shard = os.path.dirname(self.directory)
-        fs.fsync_dir(shard)
-        fs.fsync_dir(os.path.dirname(shard))
         self._finish()
         return Artifact(self.key, self.directory)
 
@@ -913,7 +873,7 @@ class ArtifactCache:
         while os.path.exists(dest):
             n += 1
             dest = f"{src}{QUARANTINE_SUFFIX}.{n}"
-        self.fs.rename(src, dest)
+        publish_dir(src, dest, self.fs)
         _log.warning(
             "artifact quarantined: %s",
             json.dumps({
@@ -1018,12 +978,12 @@ class ArtifactCache:
         except OSError:
             return False
         grace = QUEUE_LEASE_GRACE_S
+        manifest = read_json_or_none(os.path.join(qdir, "manifest.json"))
         try:
-            with open(os.path.join(qdir, "manifest.json")) as fh:
-                ttl = float(json.load(fh).get("lease_ttl_s", 0.0))
+            ttl = float((manifest or {}).get("lease_ttl_s", 0.0))
             if ttl > 0.0:
                 grace = max(60.0, 4.0 * ttl)
-        except (OSError, ValueError, TypeError):
+        except (TypeError, ValueError):
             pass
         now = time.time()
         for n in names:

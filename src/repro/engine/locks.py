@@ -66,35 +66,38 @@ def read_fence(path: str) -> int:
 def write_fence(path: str, epoch: int, fs=None) -> None:
     """Durably publish *epoch* as the minimum valid fencing epoch.
 
-    Atomic (tmp + rename) and fsync'd, and never moves backwards: a
-    concurrent or crashed writer can leave only the old value or the new
-    one, and revocation-then-regrant always reads its own bump.
+    Atomic and fsync'd (:func:`~repro.trace.fsio.publish_file`, so one
+    writer per fence file: the run's coordinator), and never moves
+    backwards: a crashed writer can leave only the old value or the new
+    one, and revocation-then-regrant always reads its own bump. The
+    fence directory's own entry is fsync'd in its parent every time — a
+    fence directory that vanished in a crash would silently regress a
+    revoked epoch to 0.
 
     *fs* is an optional :class:`~repro.trace.fsio.OsFS`-shaped shim so
     fault injection (ChaosFS) and the crashcheck model cover the write.
     """
-    if fs is None:
-        from repro.trace.fsio import OsFS
+    from repro.trace.fsio import OsFS, ensure_dir_chain, publish_file
 
-        fs = OsFS()
+    fs = fs if fs is not None else OsFS()
     current = read_fence(path)
     if current >= (1 << 62):
         current = 0  # replacing a torn fence file is the repair
-    epoch = max(epoch, current)
-    directory = os.path.dirname(path) or "."
-    created = not os.path.isdir(directory)
-    fs.makedirs(directory)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with fs.open(tmp, "w") as fh:
-        fh.write(str(epoch))
-        fs.fsync(fh)
-    fs.replace(tmp, path)
-    fs.fsync_dir(directory)
-    if created:
-        # a brand-new fence directory is itself just an entry in *its*
-        # parent: persist that too, or the whole fence can vanish and a
-        # revoked epoch silently regress to 0 after a crash
-        fs.fsync_dir(os.path.dirname(directory) or ".")
+    directory = os.path.dirname(os.path.abspath(path))
+    ensure_dir_chain(directory, os.path.dirname(directory), fs)
+    publish_file(path, str(max(epoch, current)), fs)
+
+
+def pid_alive(pid: int) -> bool:
+    """True unless *pid* is certainly gone on this host (a pid owned by
+    another user counts as alive)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except OSError:
+        return True
+    return True
 
 
 @dataclass(frozen=True)

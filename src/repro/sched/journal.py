@@ -49,7 +49,7 @@ from typing import Any, Iterator
 
 from repro.engine.locks import KeyLock
 from repro.errors import JournalError
-from repro.trace.fsio import OsFS
+from repro.trace.fsio import OsFS, ensure_dir_chain, publish_file
 
 #: Subdirectory of the artifact-cache root holding per-run state.
 RUNS_DIR = "runs"
@@ -277,13 +277,10 @@ class RunJournal:
         could chop off a record process A appended in between."""
         fs = fs if fs is not None else OsFS()
         path = journal_path(cache_root, run_id)
-        fs.makedirs(os.path.dirname(path))
-        # the run directory and its entry chain up to the cache root are
-        # brand new state: without fsyncing the parents, every fsync'd
-        # append below could still vanish with the whole directory on
-        # power loss (the crashcheck journal protocol reproduces this)
-        fs.fsync_dir(os.path.join(cache_root, RUNS_DIR))
-        fs.fsync_dir(cache_root)
+        # without the chain up to the cache root, every fsync'd append
+        # below could still vanish with the whole run directory on power
+        # loss (the crashcheck journal protocol reproduces this)
+        ensure_dir_chain(os.path.dirname(path), cache_root, fs)
         jnl = cls(path, fsync=fsync, fs=fs)
         with jnl._lock:
             if fs.exists(path):
@@ -296,13 +293,13 @@ class RunJournal:
 
     def _handle(self):
         if self._fh is None:
-            existed = self._fs.exists(self.path)
             self._fh = self._fs.open(self.path, "ab")
-            if not existed:
-                # make the journal file's directory entry durable before
-                # the first append can be acknowledged — fsync(file)
-                # alone never persists the name in the parent directory
-                self._fs.fsync_dir(os.path.dirname(self.path) or ".")
+            # make the journal file's directory entry durable before the
+            # first append can be acknowledged — fsync(file) alone never
+            # persists the name in the parent directory. Unconditional:
+            # an earlier process may have created the file and died
+            # before syncing its entry.
+            self._fs.fsync_dir(os.path.dirname(self.path) or ".")
         return self._fh
 
     def append(self, kind: str, **fields) -> dict:
@@ -361,14 +358,11 @@ class RunJournal:
                     **extra)
         # the marker engine gc keys eviction on: a finished run's
         # journal is forensics, an unfinished one is resumable state;
-        # fsync the (empty) file and its directory entry — an acked
-        # run_finished whose marker evaporates would make gc treat the
-        # run as resumable forever
+        # publish it durably — an acked run_finished whose marker
+        # evaporates would make gc treat the run as resumable forever
         marker = os.path.join(os.path.dirname(self.path), DONE_MARKER)
         try:
-            with self._fs.open(marker, "w") as fh:
-                self._fs.fsync(fh)
-            self._fs.fsync_dir(os.path.dirname(self.path) or ".")
+            publish_file(marker, b"", self._fs)
         except OSError:
             pass
 

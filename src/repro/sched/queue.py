@@ -69,7 +69,12 @@ import traceback
 from dataclasses import asdict
 
 from repro.engine.artifacts import QUEUE_DIR, QUEUE_LEASES_DIR
-from repro.engine.locks import FencingToken, read_fence, write_fence
+from repro.engine.locks import (
+    FencingToken,
+    pid_alive,
+    read_fence,
+    write_fence,
+)
 from repro.errors import FencedOutError, QueueError, SchedulerError
 from repro.sched.events import (
     TASK_FAILED,
@@ -97,7 +102,12 @@ from repro.sched.workers import (
     run_experiment_task,
     run_record_task,
 )
-from repro.trace.fsio import OsFS
+from repro.trace.fsio import (
+    OsFS,
+    ensure_dir_chain,
+    publish_file,
+    read_json_or_none,
+)
 
 #: Queue sub-directories / files (leases dir name is shared with
 #: ``engine gc``'s liveness probe via :mod:`repro.engine.artifacts`).
@@ -128,51 +138,16 @@ def safe_task_id(task_id: str) -> str:
     return f"{clean}-{hashlib.sha256(task_id.encode()).hexdigest()[:8]}"
 
 
-def _fsync_dir(path: str, fs: OsFS | None = None) -> None:
-    (fs if fs is not None else OsFS()).fsync_dir(path)
-
-
-def _atomic_json(path: str, payload: dict, fs: OsFS | None = None) -> None:
-    """tmp + fsync + rename + dir fsync — a reader never sees a torn
-    file, a crash leaves either the old content or the new."""
-    fs = fs if fs is not None else OsFS()
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with fs.open(tmp, "w") as fh:
-        json.dump(payload, fh, separators=(",", ":"))
-        fs.fsync(fh)
-    fs.replace(tmp, path)
-    fs.fsync_dir(os.path.dirname(path))
-
-
-def _read_json(path: str) -> dict | None:
-    """Best-effort read of a queue file; None for missing/torn/garbage
-    (atomic writes make torn content transient — the next poll sees it
-    whole)."""
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    return obj if isinstance(obj, dict) else None
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except (PermissionError, OSError):
-        return True
-    return True
-
-
 # ----------------------------------------------------------------------
 class WorkQueue:
     """Path layout + atomic file operations of one run's queue.
 
     Shared by the coordinator and every worker; holds no state beyond
     the paths, so any number of processes on any number of hosts can
-    instantiate it against the same cache root.
+    instantiate it against the same cache root. Every queue file has one
+    writer — the coordinator (manifest, ready files), or the holder of
+    the epoch named in the file (lease heartbeats, results) — as
+    :func:`~repro.trace.fsio.publish_file`'s fixed temporary requires.
     """
 
     def __init__(self, cache_root: str, run_id: str,
@@ -227,23 +202,16 @@ class WorkQueue:
 
     # -- setup ----------------------------------------------------------
     def init_dirs(self) -> None:
+        # the whole new chain up to the cache root: without it a crash
+        # could drop e.g. the results/ dir — and every durably-published
+        # result in it — in one stroke
         for d in (self.tasks_dir, self.leases_dir, self.fence_dir,
                   self.results_dir):
-            self.fs.makedirs(d)
-        # fsync the whole new directory chain (queue root, run dir,
-        # runs/, cache root): each level is only an entry in its parent,
-        # and without these a crash could drop e.g. the results/ dir —
-        # and every durably-published result in it — in one stroke
-        self.fs.fsync_dir(self.root)
-        level = os.path.dirname(self.root)           # runs/<run-id>
-        for _ in range(2):                           # run dir, runs/
-            self.fs.fsync_dir(level)
-            level = os.path.dirname(level)
-        self.fs.fsync_dir(self.cache_root)
+            ensure_dir_chain(d, self.cache_root, self.fs)
 
     def write_manifest(self, payload: dict) -> None:
         self.init_dirs()
-        _atomic_json(self.manifest_path, payload, fs=self.fs)
+        publish_file(self.manifest_path, json.dumps(payload), self.fs)
 
     def read_manifest(self) -> dict:
         if not os.path.isdir(self.root):
@@ -251,7 +219,7 @@ class WorkQueue:
                 f"run {self.run_id!r} has no queue under {self.root} — "
                 f"wrong --cache-dir/--run-id, or the coordinator never "
                 f"published one (transport='queue')")
-        manifest = _read_json(self.manifest_path)
+        manifest = read_json_or_none(self.manifest_path)
         if manifest is None:
             raise QueueError(
                 f"queue manifest missing or unreadable: {self.manifest_path}")
@@ -265,10 +233,10 @@ class WorkQueue:
     # -- ready files ----------------------------------------------------
     def publish_ready(self, task_id: str, epoch: int, attempt: int,
                       seed_offset: int) -> None:
-        _atomic_json(self.ready_path(task_id), {
+        publish_file(self.ready_path(task_id), json.dumps({
             "task_id": task_id, "epoch": int(epoch),
             "attempt": int(attempt), "seed_offset": int(seed_offset),
-        }, fs=self.fs)
+        }), self.fs)
 
     def clear_ready(self, task_id: str) -> None:
         try:
@@ -287,7 +255,7 @@ class WorkQueue:
         for name in names:
             if not name.endswith(".json"):
                 continue
-            rec = _read_json(os.path.join(self.tasks_dir, name))
+            rec = read_json_or_none(os.path.join(self.tasks_dir, name))
             if rec and "task_id" in rec and "epoch" in rec:
                 out.append(rec)
         return out
@@ -321,18 +289,12 @@ class WorkQueue:
             with fh:
                 json.dump(rec, fh, separators=(",", ":"))
                 self.fs.fsync(fh)
-            _fsync_dir(self.leases_dir, fs=self.fs)
+            self.fs.fsync_dir(self.leases_dir)
         except OSError:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+            self.release(rec)
             return None
         if read_fence(fence) > epoch:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+            self.release(rec)
             return None
         return rec
 
@@ -341,8 +303,8 @@ class WorkQueue:
         mtime is the liveness signal). Epoch-named, so a zombie only
         ever touches its *own* obsolete file — never the new holder's."""
         rec = dict(lease, t=time.time())
-        _atomic_json(self.lease_path(rec["task_id"], int(rec["epoch"])), rec,
-                     fs=self.fs)
+        publish_file(self.lease_path(rec["task_id"], int(rec["epoch"])),
+                     json.dumps(rec), self.fs)
 
     def release(self, lease: dict) -> None:
         try:
@@ -352,7 +314,8 @@ class WorkQueue:
 
     # -- results --------------------------------------------------------
     def write_result(self, task_id: str, epoch: int, rec: dict) -> None:
-        _atomic_json(self.result_path(task_id, epoch), rec, fs=self.fs)
+        publish_file(self.result_path(task_id, epoch), json.dumps(rec),
+                     self.fs)
 
     # -- stop -----------------------------------------------------------
     def stop(self) -> None:
@@ -682,7 +645,7 @@ class QueueCoordinator:
         for tid, pub in published.items():
             if tid in done or pub["granted"]:
                 continue
-            rec = _read_json(self.queue.lease_path(tid, pub["epoch"]))
+            rec = read_json_or_none(self.queue.lease_path(tid, pub["epoch"]))
             if rec is None:
                 continue
             pub.update(granted=True, t_grant=time.monotonic(),
@@ -702,7 +665,7 @@ class QueueCoordinator:
         for tid, pub in list(published.items()):
             if tid in done:
                 continue
-            rec = _read_json(self.queue.result_path(tid, pub["epoch"]))
+            rec = read_json_or_none(self.queue.result_path(tid, pub["epoch"]))
             if rec is None:
                 continue
             handled += 1
@@ -770,7 +733,7 @@ class QueueCoordinator:
                 reason = (f"lease heartbeat stale ({age:.1f}s > "
                           f"TTL {self.lease_ttl_s:.1f}s)")
             elif (pub["host"] == self.host and pub["pid"]
-                    and not _pid_alive(int(pub["pid"]))):
+                    and not pid_alive(int(pub["pid"]))):
                 reason = f"worker pid {pub['pid']} died on {self.host}"
             elif (self.task_timeout_s is not None and pub["t_grant"]
                     and now_mono - pub["t_grant"] > self.task_timeout_s):

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from typing import Iterable
 
-from repro.trace.fsio import OsFS
+from repro.trace.fsio import OsFS, publish_file, read_json_or_none
 
 #: Subdirectory of the cache root owned by the service layer.
 SERVICE_DIR = "service"
@@ -31,6 +32,10 @@ SERVICE_DIR = "service"
 ACTIVE_FILE = "active_keys.json"
 #: A snapshot older than this is a dead daemon's leftovers: ignore it.
 DEFAULT_MAX_AGE_S = 60.0
+
+#: The daemon publishes snapshots from several executor threads, and
+#: :func:`~repro.trace.fsio.publish_file` allows one writer per path.
+_write_lock = threading.Lock()
 
 
 def service_dir(root: str | os.PathLike) -> str:
@@ -45,31 +50,22 @@ def write_active_keys(root: str | os.PathLike, keys: Iterable[str],
                       fs: OsFS | None = None) -> None:
     """Atomically publish the daemon's current in-flight key set.
 
+    Safe to call from several threads at once: writes are serialized.
     Failure is non-fatal by design at call sites: a read-only cache
     root degrades gc protection, not request serving. Writes go through
     the injectable *fs* shim so ChaosFS and the crashcheck model cover
     them.
     """
     fs = fs if fs is not None else OsFS()
-    directory = service_dir(root)
-    fs.makedirs(directory)
     payload = {
         "pid": os.getpid(),
         "updated": time.time(),
         "keys": sorted(set(keys)),
     }
-    tmp = os.path.join(directory, f".active-{os.getpid()}.tmp")
-    try:
-        with fs.open(tmp, "w") as fh:
-            json.dump(payload, fh, separators=(",", ":"))
-            fs.fsync(fh)
-        fs.replace(tmp, active_keys_path(root))
-    except BaseException:
-        try:
-            fs.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    with _write_lock:
+        fs.makedirs(service_dir(root))
+        publish_file(active_keys_path(root),
+                     json.dumps(payload, separators=(",", ":")), fs)
 
 
 def clear_active_keys(root: str | os.PathLike) -> None:
@@ -89,13 +85,11 @@ def read_active_keys(root: str | os.PathLike,
     Unreadable or malformed files are likewise ``()`` — gc must not
     fail because a snapshot was torn.
     """
-    path = active_keys_path(root)
+    payload = read_json_or_none(active_keys_path(root))
     try:
-        with open(path) as fh:
-            payload = json.load(fh)
         updated = float(payload["updated"])
         keys = payload["keys"]
-    except (OSError, ValueError, KeyError, TypeError):
+    except (ValueError, KeyError, TypeError):
         return ()
     if time.time() - updated > max_age_s:
         return ()

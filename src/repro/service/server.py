@@ -65,6 +65,7 @@ from repro.service.protocol import (
     parse_request,
 )
 from repro.service.worker import RecordHandle, run_record_worker
+from repro.trace.fsio import publish_file
 
 _log = logging.getLogger("repro.service")
 
@@ -431,21 +432,15 @@ class AnalysisService:
             fs = self.cache.fs
             directory = service_dir(self.cfg.cache_root)
             fs.makedirs(directory)
-            path = os.path.join(directory, DRAIN_FILE)
-            tmp = f"{path}.tmp.{os.getpid()}"
-            with fs.open(tmp, "w") as fh:
-                json.dump({
-                    "signum": signum,
-                    "drained_at": time.time(),
-                    "interrupted_keys": interrupted,
-                    "served": self.stats.get("ok", 0),
-                    "hint": "these spec keys were in flight at shutdown; "
-                            "re-issue the requests after restart — anything "
-                            "already committed is served from cache",
-                }, fh, indent=2)
-                fs.fsync(fh)
-            fs.replace(tmp, path)
-            fs.fsync_dir(directory)
+            publish_file(os.path.join(directory, DRAIN_FILE), json.dumps({
+                "signum": signum,
+                "drained_at": time.time(),
+                "interrupted_keys": interrupted,
+                "served": self.stats.get("ok", 0),
+                "hint": "these spec keys were in flight at shutdown; "
+                        "re-issue the requests after restart — anything "
+                        "already committed is served from cache",
+            }, indent=2), fs)
             write_active_keys(self.cfg.cache_root, (), fs=fs)
         except OSError:
             _log.warning("could not journal drain state", exc_info=True)
@@ -628,9 +623,7 @@ async def _serve_async(cfg: ServeConfig) -> int:
     print(f"serving on http://{host}:{port} (cache {cfg.cache_root})",
           flush=True)
     if cfg.ready_file:
-        with service.cache.fs.open(cfg.ready_file + ".tmp", "w") as fh:
-            fh.write(f"{host} {port}\n")
-        service.cache.fs.replace(cfg.ready_file + ".tmp", cfg.ready_file)
+        publish_file(cfg.ready_file, f"{host} {port}\n", service.cache.fs)
 
     await stop.wait()
     signum = signum_box[0]

@@ -41,8 +41,8 @@ detectable without decoding anything.
 Durability follows the same protocol as the rest of the store: chunks
 stream into ``<final>.tmp/`` (each fsynced as written, so a recording
 never buffers the whole trace in memory), and ``close()`` writes
-``index.bin``, fsyncs the directory, and publishes with one atomic
-``os.replace`` of the directory.
+``index.bin`` and publishes the directory with
+:func:`~repro.trace.fsio.publish_dir`.
 
 Reading is **lazy**: opening a trace validates only the index (header +
 record CRCs). A chunk moves through ``unmapped → mapped → verified →
@@ -64,7 +64,7 @@ import zlib
 import numpy as np
 
 from repro.errors import TraceError
-from repro.trace.fsio import OsFS, _batch_crc
+from repro.trace.fsio import OsFS, _batch_crc, publish_dir
 from repro.trace.record import RefBatch
 
 #: Directory suffix identifying a v3 trace container.
@@ -226,13 +226,9 @@ class ChunkedTraceWriter:
             with fs.open(index_path, "wb") as fh:
                 fh.write(_pack_index(self._records, self._total_refs))
                 fs.fsync(fh)
-            # every chunk file and the index are durable; make the
-            # directory entries durable too, then publish atomically
-            fs.fsync_dir(self._tmp)
-            if os.path.isdir(self._final):  # overwrite semantics
-                fs.rmtree(self._final)
-            fs.replace(self._tmp, self._final)
-            fs.fsync_dir(os.path.dirname(self._final) or ".")
+            # publish_dir requires every chunk file and the index to be
+            # fsync'd already; it makes their entries durable itself
+            publish_dir(self._tmp, self._final, fs)
         except BaseException:
             shutil.rmtree(self._tmp, ignore_errors=True)
             raise

@@ -1,4 +1,4 @@
-"""Shared low-level trace plumbing: filesystem shim and checksums.
+"""Shared low-level plumbing: filesystem shim, durable writes, checksums.
 
 Both trace containers — the legacy monolithic ``.npz`` archives
 (:mod:`repro.trace.io`) and the chunked columnar v3 directories
@@ -13,11 +13,21 @@ batch stored in a v2 archive and in a v3 chunk carries the same
 checksum, and :func:`content_digest_from_crcs` turns the ordered CRC
 list into a run-level content digest that survives a v2→v3 migration
 bit-for-bit.
+
+Every durable write in the repository is composed from the four
+primitives at the bottom of this module — :func:`publish_file`,
+:func:`publish_dir`, :func:`ensure_dir_chain` and
+:func:`read_json_or_none` — so the one omission the crash checker kept
+finding (a rename or mkdir whose parent directory was never fsync'd)
+cannot be written by hand. ``tests/test_durable_write_lint.py`` rejects
+a direct ``os.replace``/``os.rename``/``os.fsync`` (or a shim
+``replace``/``rename``) anywhere else in ``src/``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import shutil
 import zlib
@@ -116,3 +126,84 @@ def content_digest_from_crcs(events_crc32: int,
     for crc in payload_crcs:
         h.update(int(crc).to_bytes(4, "little"))
     return "sha256:" + h.hexdigest()
+
+
+# ----------------------------------------------------------------------
+# The durable-write vocabulary. Each primitive takes the injectable *fs*
+# shim, so ChaosFS and the crash checker's RecordingFS see every step.
+
+def publish_file(path: str, data: bytes | str, fs: OsFS) -> None:
+    """Durably replace the file at *path* with *data*.
+
+    Writes ``<path>.tmp``, fsyncs it, renames it over *path*, then
+    fsyncs the parent directory so the new entry survives power loss.
+    The temporary is removed if any step fails. The fixed temporary
+    name means one writer per path: callers serialize concurrent
+    publishers of the same path (key flock, coordinator, epoch holder,
+    a lock).
+    """
+    if isinstance(data, str):
+        data = data.encode()
+    tmp = path + ".tmp"
+    try:
+        with fs.open(tmp, "wb") as fh:
+            fh.write(data)
+            fs.fsync(fh)
+        fs.replace(tmp, path)
+        fs.fsync_dir(os.path.dirname(path) or ".")
+    except BaseException:
+        try:
+            fs.unlink(tmp)
+        except OSError:  # already renamed, never created, or fs is dead
+            pass
+        raise
+
+
+def publish_dir(tmp: str, dst: str, fs: OsFS) -> None:
+    """Durably replace directory *dst* with the fully written sibling
+    directory *tmp*.
+
+    fsyncs *tmp* first: the caller fsync'd the files in it, but the
+    entries naming them live in *tmp*'s own inode, and without that
+    fsync a crash after the rename could surface *dst* with members
+    missing. Then removes an existing *dst*, renames *tmp* into place,
+    and fsyncs the parent.
+    """
+    fs.fsync_dir(tmp)
+    if os.path.isdir(dst):
+        fs.rmtree(dst)
+    fs.replace(tmp, dst)
+    fs.fsync_dir(os.path.dirname(dst) or ".")
+
+
+def ensure_dir_chain(path: str, root: str, fs: OsFS) -> None:
+    """Create directory *path* and any missing parents, then fsync
+    *path*'s parent and every directory above it up to and including
+    *root*.
+
+    A directory is only an entry in its parent: without these fsyncs a
+    crash can drop a freshly made directory — and everything durably
+    written into it — in one stroke. The fsyncs are unconditional, so a
+    chain an earlier process created and died before syncing is
+    repaired too.
+    """
+    level, root = os.path.abspath(path), os.path.abspath(root)
+    if level == root or os.path.commonpath((level, root)) != root:
+        raise ValueError(f"{root!r} is not a parent of {path!r}")
+    fs.makedirs(path)
+    while level != root:
+        level = os.path.dirname(level)
+        fs.fsync_dir(level)
+
+
+def read_json_or_none(path: str) -> dict | None:
+    """The JSON object stored at *path*, or None if the file is missing,
+    torn, or not a JSON object (files written by :func:`publish_file`
+    are never torn at their final path, so a reader that polls sees
+    them whole on the next look)."""
+    try:
+        with open(path, "rb") as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    return obj if isinstance(obj, dict) else None

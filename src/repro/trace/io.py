@@ -24,13 +24,15 @@ Shared durability properties (both formats):
   batch is detected on read and reported as a
   :class:`~repro.errors.TraceError` carrying ``batch_index``;
 * writes are crash-consistent: data goes to a ``.tmp`` sibling and one
-  atomic :func:`os.replace` publishes it, so an interrupted run never
+  atomic rename publishes it (:func:`~repro.trace.fsio.publish_file` /
+  :func:`~repro.trace.fsio.publish_dir`), so an interrupted run never
   leaves a truncated trace at the final path;
 * v1 files (pre-checksum) still load — they simply skip verification.
 """
 
 from __future__ import annotations
 
+import io
 import os
 from typing import Iterable, Iterator
 
@@ -43,6 +45,7 @@ from repro.trace.chunked import (
     is_chunked,
 )
 from repro.trace.fsio import OsFS, _batch_crc  # noqa: F401  (re-exports)
+from repro.trace.fsio import publish_file
 from repro.trace.record import RefBatch
 
 _MAGIC_V1 = "nvscavenger-trace-v1"
@@ -56,8 +59,9 @@ def _npz_path(path: str) -> str:
 class NpzTraceWriter:
     """Accumulates batches and writes one compressed v2 archive on close.
 
-    The close is atomic: data goes to a temporary sibling file first and
-    only an :func:`os.replace` publishes it under the final name.
+    The close is atomic: :func:`~repro.trace.fsio.publish_file` writes
+    a temporary sibling first and only its rename publishes the archive
+    under the final name.
     """
 
     def __init__(self, path: str | os.PathLike, fs: OsFS | None = None) -> None:
@@ -98,21 +102,9 @@ class NpzTraceWriter:
                 [_batch_crc(b.addr, b.is_write, b.size, b.oid, b.iteration)],
                 dtype=np.uint32,
             )
-        final = _npz_path(self._path)
-        tmp = final + ".tmp"
-        fs = self._fs
-        try:
-            with fs.open(tmp, "wb") as fh:
-                np.savez_compressed(fh, **arrays)
-                fs.fsync(fh)
-            fs.replace(tmp, final)
-        except BaseException:
-            try:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        buf = io.BytesIO()
+        np.savez_compressed(buf, **arrays)
+        publish_file(_npz_path(self._path), buf.getvalue(), self._fs)
         self._closed = True
 
     def __enter__(self) -> "NpzTraceWriter":

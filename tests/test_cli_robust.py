@@ -1,5 +1,7 @@
 """CLI hardening: argument validation and the trace --verify path."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -267,6 +269,28 @@ class TestCrashcheck:
         err = capsys.readouterr().err
         assert "nvscavenger: error" in err and "unknown protocol" in err
         assert "fence" in err  # the valid choices are spelled out
+
+    def test_violation_prints_reproducer_exit_1(self, capsys, monkeypatch):
+        from repro.crashcheck import PROTOCOLS, ProtocolSpec
+        from repro.errors import CrashConsistencyError
+
+        def workload(root, fs, mark):
+            with fs.open(os.path.join(root, "f"), "wb") as fh:
+                fh.write(b"x")
+            mark("saved")  # acked without any fsync
+
+        def recover(root, acked):
+            if acked and not os.path.exists(os.path.join(root, "f")):
+                raise CrashConsistencyError("acked file lost",
+                                            protocol="unsynced")
+
+        monkeypatch.setitem(PROTOCOLS, "unsynced", ProtocolSpec(
+            name="unsynced", description="acks before any fsync",
+            setup=lambda root: None, workload=workload, recover=recover))
+        assert main(["crashcheck", "unsynced"]) == 1
+        out = capsys.readouterr().out
+        assert "VIOLATION" in out and "acked file lost" in out
+        assert "reproducer: {" in out
 
     def test_fence_run_clean_and_writes_corpus(self, capsys, tmp_path):
         corpus = str(tmp_path / "corpus.json")

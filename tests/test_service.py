@@ -26,6 +26,8 @@ import asyncio
 import json
 import multiprocessing
 import os
+import sys
+import threading
 import time
 
 import pytest
@@ -458,6 +460,51 @@ class TestActiveKeys:
         with open(active_keys_path(tmp_path), "w") as fh:
             fh.write('{"pid": 1, "upd')  # torn mid-write
         assert read_active_keys(tmp_path) == ()
+
+    def test_concurrent_writers_never_tear_the_snapshot(self, tmp_path):
+        """The daemon publishes snapshots from several executor threads
+        at once: no write may fail, and a reader polling meanwhile never
+        sees an unparseable file."""
+        write_active_keys(tmp_path, ["k"])
+        path = active_keys_path(tmp_path)
+        errors, bad_reads = [], []
+        writing = True
+
+        def writer(n):
+            for i in range(100):
+                try:
+                    write_active_keys(tmp_path, [f"k{n}-{i}"])
+                except Exception as exc:  # noqa: BLE001 — collect, assert
+                    errors.append(exc)
+
+        def reader():
+            while writing:
+                try:
+                    with open(path) as fh:
+                        json.load(fh)
+                except (OSError, ValueError) as exc:
+                    bad_reads.append(exc)
+
+        poller = threading.Thread(target=reader)
+        writers = [threading.Thread(target=writer, args=(n,))
+                   for n in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            poller.start()
+            for t in writers:
+                t.start()
+            for t in writers:
+                t.join(timeout=60.0)
+            writing = False
+            poller.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in writers + [poller])
+        assert not errors, f"{len(errors)} writes failed: {errors[0]!r}"
+        assert not bad_reads, (
+            f"{len(bad_reads)} unparseable reads: {bad_reads[0]!r}")
+        assert len(read_active_keys(tmp_path)) == 1
 
     def test_stale_snapshot_is_a_dead_daemon(self, tmp_path):
         write_active_keys(tmp_path, ["k"])
