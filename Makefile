@@ -19,12 +19,13 @@ lint:
 	ruff check src tests
 	$(PY) -m pytest -q --noconftest tests/test_durable_write_lint.py
 
-# Fault-injection suite: crash-point sweep, bit-flip detection, fsck/gc.
+# Fault-injection suite: crash-point sweep, bit-flip detection, fsck/gc,
+# and the checkpoint engine against its scalar reference loop.
 # -p no:randomly pins fault points and flip seeds (matches CI's chaos job).
 chaos:
 	$(PY) -m pytest -p no:randomly -q tests/test_engine_chaos.py \
 		tests/test_engine_fsck_gc.py tests/test_resilience.py \
-		tests/test_trace_durability.py
+		tests/test_resilience_oracle.py tests/test_trace_durability.py
 
 # Crash-consistency model checker: every durable protocol is run once
 # under a recording FS, then every reachable crash state (drops, torn

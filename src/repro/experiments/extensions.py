@@ -172,9 +172,8 @@ def run_checkpoint(ctx: ExperimentContext) -> ExperimentResult:
     data = []
     mtbf_s = 6 * 3600.0
     for name in ctx.apps:
-        run = ctx.run(name)
         # paper-scale footprint: what a real task would checkpoint
-        footprint = int(run.app.info.paper_footprint_mb * MiB)
+        footprint = int(ctx.spec_for(name).instantiate().info.paper_footprint_mb * MiB)
         plans = compare_targets(footprint, mtbf_s, (PFS_DISK, NVRAM_LOCAL))
         disk, nv = plans["PFS-disk"], plans["NVRAM"]
         rows.append(

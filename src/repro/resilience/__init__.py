@@ -6,7 +6,9 @@ resiliency motivation, made executable).
   per-line write counts; named scenarios in :data:`SCENARIOS`.
 * :mod:`repro.resilience.engine` — discrete-event checkpoint/restart
   simulator that *measures* the efficiency the Young/Daly planner in
-  :mod:`repro.hybrid.checkpoint` *predicts*.
+  :mod:`repro.hybrid.checkpoint` *predicts*; its original per-step loop
+  is the test oracle in :mod:`repro.resilience.reference` (imported by
+  tests only, not re-exported here).
 * :mod:`repro.resilience.harness` — hardened experiment execution
   (isolation, deterministic retry-with-reseed, wall-clock budgets) used
   by :func:`repro.experiments.run_all`.

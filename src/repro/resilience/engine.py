@@ -11,17 +11,22 @@ replays the lost timesteps. The measured efficiency — final useful time
 over simulated wall time — validates the analytic prediction empirically,
 which is what the ``resilience`` experiment and its test assert.
 
-Time is simulated, not wall-clock: one loop iteration costs
-``timestep_s`` simulated seconds and a few dozen real nanoseconds, so
-megaseconds of machine time (hundreds of failures) simulate in well
-under a second.
+Time is simulated, not wall-clock: one timestep costs ``timestep_s``
+simulated seconds. The engine works one fault-free segment (the run
+between two crashes) at a time — one ``numpy`` accumulate lays out its
+step and checkpoint times, one search finds where the crash cuts it —
+so the real cost is the app's own ``advance`` per executed step (a few
+microseconds for :class:`SyntheticTimestepApp`) plus a little integer
+bookkeeping per checkpoint, and megaseconds of machine time (hundreds
+of failures) simulate in a fraction of a second. The original per-step
+loop is kept as the test oracle in :mod:`repro.resilience.reference`.
 """
 
 from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,9 +34,9 @@ from repro.errors import CheckpointError, ConfigurationError
 from repro.hybrid.checkpoint import CheckpointPlan, CheckpointTarget, plan_checkpoints
 from repro.resilience.faults import FaultInjector
 
-#: Granularity of the wear-out bookkeeping: each checkpoint buffer is
-#: modeled as this many NVRAM lines, each written once per checkpoint.
-WEAR_LINES = 64
+#: Upper bound on one planned window's timeline length (entries), so a
+#: long fault-free run is planned in bounded chunks.
+_WINDOW_ENTRIES = 1 << 16
 
 
 class SyntheticTimestepApp:
@@ -54,7 +59,12 @@ class SyntheticTimestepApp:
         self.state = rng.standard_normal(state_doubles)
 
     def advance(self, step: int) -> None:
-        """Execute logical timestep *step* (idempotent per step index)."""
+        """Execute logical timestep *step*: apply the recurrence once more.
+
+        Not idempotent — a second call for the same *step* advances the
+        state again — which is why the engine calls it exactly once per
+        executed step, replays after a restore included.
+        """
         self.state = self.state * 0.999 + math.sin(step + 1) * 1e-3
 
     def snapshot(self) -> np.ndarray:
@@ -68,6 +78,10 @@ class SyntheticTimestepApp:
         return zlib.crc32(np.ascontiguousarray(self.state).tobytes())
 
 
+def _image_crc(state: np.ndarray) -> int:
+    return zlib.crc32(np.ascontiguousarray(state).tobytes())
+
+
 @dataclass
 class _Slot:
     """One of the two NVRAM checkpoint buffers."""
@@ -75,8 +89,9 @@ class _Slot:
     step: int = -1  # last completed step captured (-1 = empty)
     state: np.ndarray | None = None
     crc: int = 0  # CRC recorded at write time, before any corruption
-    writes_per_line: np.ndarray = field(
-        default_factory=lambda: np.zeros(WEAR_LINES, np.int64))
+    #: checkpoints written to this buffer; each one writes every line of
+    #: it once, so this is also each line's write count
+    writes: int = 0
     wear_failed: bool = False
 
 
@@ -179,10 +194,21 @@ class CheckpointEngine:
 
     # ------------------------------------------------------------------
     def run(self, app) -> EngineReport:
-        """Drive *app* to completion through crashes; return measurements."""
+        """Drive *app* to completion through crashes; return measurements.
+
+        Works one fault-free segment at a time, in windows:
+        :meth:`_plan_window` finds how far the run gets before the next
+        crash, then only that work runs — every step's ``advance``, every
+        checkpoint's bookkeeping, and a snapshot plus write-time CRC for
+        just the images a restore can read (the window's last two, and
+        any the injector corrupts).
+        """
         delta = self.target.checkpoint_seconds(self.footprint_bytes)
         restart = delta  # restoring reads one image at device speed
-        slots = [_Slot(), _Slot()]
+        interval = self.interval_steps
+        injector = self.injector
+        advance = app.advance
+        a, b = _Slot(), _Slot()
         initial_state = app.snapshot()  # the always-valid step -1 fallback
 
         t = 0.0
@@ -194,30 +220,38 @@ class CheckpointEngine:
         n_scratch = 0
         ckpt_overhead = 0.0
         restart_total = 0.0
-        next_crash = self.injector.next_crash_time(0.0)
+        next_crash = injector.next_crash_time(0.0)
 
-        def write_checkpoint(at_step: int) -> None:
-            nonlocal n_checkpoints, n_corrupt
+        def write_checkpoint(at_step: int, keep: bool) -> None:
+            nonlocal n_checkpoints, n_corrupt, ckpt_overhead
             # Double buffering: overwrite the *older* image so the newer
-            # one stays intact while this write is in flight.
-            slot = min(slots, key=lambda s: s.step)
+            # one stays intact while this write is in flight. Pick by step
+            # at every write: after a fallback restore the other buffer
+            # keeps a stale, higher step, so writes need not alternate.
+            slot = a if a.step <= b.step else b
             slot.step = at_step
-            slot.state = app.snapshot()
-            slot.crc = zlib.crc32(np.ascontiguousarray(slot.state).tobytes())
-            slot.writes_per_line += 1
-            slot.wear_failed = bool(
-                self.injector.wearout_failed_lines(slot.writes_per_line).any())
-            if all(s.wear_failed for s in slots):
+            slot.writes += 1
+            slot.wear_failed = injector.line_worn_out(slot.writes)
+            if a.wear_failed and b.wear_failed:
                 raise CheckpointError(
                     f"{self.target.name}: both checkpoint buffers worn out "
                     f"after {n_checkpoints + 1} checkpoints (endurance "
-                    f"{self.injector.scenario.endurance_writes} writes/line) — "
+                    f"{injector.scenario.endurance_writes} writes/line) — "
                     "the region needs wear leveling or more spare capacity"
                 )
-            if self.injector.corrupts_checkpoint(self.footprint_bytes):
-                self.injector.flip_random_byte(slot.state)
-                n_corrupt += 1
+            corrupt = injector.corrupts_checkpoint(self.footprint_bytes)
+            if keep or corrupt:
+                slot.state = app.snapshot()
+                slot.crc = _image_crc(slot.state)
+                if corrupt:
+                    injector.flip_random_byte(slot.state)
+                    n_corrupt += 1
+            else:
+                # a later write of this window overwrites the image
+                # before any restore can read it
+                slot.state = None
             n_checkpoints += 1
+            ckpt_overhead += delta
 
         def crash() -> None:
             nonlocal t, step, n_crashes, n_fallback, n_scratch, restart_total, next_crash
@@ -225,21 +259,20 @@ class CheckpointEngine:
             if n_crashes > self.max_crashes:
                 raise CheckpointError(
                     f"{self.target.name}: no forward progress after "
-                    f"{self.max_crashes} crashes (MTBF {self.injector.mtbf_s}s vs "
+                    f"{self.max_crashes} crashes (MTBF {injector.mtbf_s}s vs "
                     f"checkpoint {delta:.3g}s) — checkpointing cannot keep up"
                 )
             t = next_crash
             # Try the newest image first; a CRC mismatch or wear-out means
             # the bits rotted in NVRAM, so fall back to the older buffer.
             restored = False
-            for slot in sorted(slots, key=lambda s: s.step, reverse=True):
-                if slot.state is None:
+            for slot in (a, b) if a.step >= b.step else (b, a):
+                if slot.step < 0:  # empty, or torn by a crash mid-write
                     continue
                 t += restart
                 restart_total += restart
-                ok = (not slot.wear_failed) and (
-                    zlib.crc32(np.ascontiguousarray(slot.state).tobytes()) == slot.crc)
-                if ok:
+                assert slot.state is not None, "restore of an unmaterialized image"
+                if not slot.wear_failed and _image_crc(slot.state) == slot.crc:
                     app.restore(slot.state)
                     step = slot.step
                     restored = True
@@ -249,26 +282,28 @@ class CheckpointEngine:
                 app.restore(initial_state)
                 step = 0
                 n_scratch += 1
-            next_crash = self.injector.next_crash_time(t)
+            next_crash = injector.next_crash_time(t)
 
         while step < app.n_steps:
-            if t + self.timestep_s > next_crash:
-                crash()
+            n_run, n_written, t_end, torn = self._plan_window(
+                t, step, app.n_steps, next_crash, delta)
+            last = step + n_written * interval  # the last checkpoint written
+            for ckpt in range(step + interval, last + 1, interval):
+                for s in range(ckpt - interval, ckpt):
+                    advance(s)
+                write_checkpoint(ckpt, ckpt >= last - interval)
+            for s in range(last, step + n_run):
+                advance(s)
+            step += n_run
+            if t_end is not None:
+                t = t_end
                 continue
-            t += self.timestep_s
-            app.advance(step)
-            step += 1
-            if step % self.interval_steps == 0:
-                if t + delta > next_crash:
-                    # Crash mid-write: the in-flight (older) buffer is torn.
-                    victim = min(slots, key=lambda s: s.step)
-                    victim.step = -1
-                    victim.state = None
-                    crash()
-                    continue
-                t += delta
-                ckpt_overhead += delta
-                write_checkpoint(step)
+            if torn:
+                # Crash mid-write: the in-flight (older) buffer is torn.
+                victim = a if a.step <= b.step else b
+                victim.step = -1
+                victim.state = None
+            crash()
 
         useful = app.n_steps * self.timestep_s
         return EngineReport(
@@ -288,6 +323,44 @@ class CheckpointEngine:
             rework_s=max(0.0, t - useful - ckpt_overhead - restart_total),
             analytic=self.analytic,
         )
+
+    def _plan_window(
+        self, t: float, step: int, n_steps: int, next_crash: float, delta: float,
+    ) -> tuple[int, int, float | None, bool]:
+        """Lay out the timeline from (*t*, *step*) and cut it at *next_crash*.
+
+        *step* is a multiple of the interval: segments start from a
+        checkpoint (or step 0) and windows end on one. The timeline is
+        ``[t, ts × k, δ, ts × k, δ, …]`` accumulated in sequence, so each
+        entry is the float the per-step ``t += …`` of the scalar loop
+        produces; the first entry past *next_crash* is the increment the
+        crash interrupts. Returns ``(steps, checkpoints, t_end, torn)``:
+        the steps that execute and the checkpoints completed before the
+        crash, the time at the window's end (``None`` when the crash
+        falls inside the window), and whether the crash tears the write
+        of the next checkpoint.
+        """
+        k, ts = self.interval_steps, self.timestep_s
+        remaining = n_steps - step
+        # enough periods to reach the crash, capped to bound the array
+        periods = int(min(-(-remaining // k),
+                          max(1, _WINDOW_ENTRIES // (k + 1)),
+                          (next_crash - t) / (k * ts + delta) + 2))
+        n_run = min(remaining, periods * k)
+        size = 1 + n_run + n_run // k
+        timeline = np.empty(1 + periods * (k + 1))
+        timeline[0] = t
+        body = timeline[1:].reshape(periods, k + 1)
+        body[:, :k] = ts
+        body[:, k] = delta
+        times = np.add.accumulate(timeline[:size])
+        cut = int(times.searchsorted(next_crash, side="right"))
+        if cut == size:
+            return n_run, n_run // k, float(times[-1]), False
+        periods_done, offset = divmod(cut - 1, k + 1)
+        if offset < k:  # the crash stops a step from executing
+            return periods_done * k + offset, periods_done, None, False
+        return (periods_done + 1) * k, periods_done, None, True
 
 
 def measure_efficiency(

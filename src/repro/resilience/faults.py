@@ -165,15 +165,20 @@ class FaultInjector:
         return off
 
     # -- wear-out -------------------------------------------------------
-    def wearout_failed_lines(self, writes_per_line: np.ndarray) -> np.ndarray:
-        """Boolean mask of lines whose wear exceeds the endurance budget.
+    def line_worn_out(self, writes: int) -> bool:
+        """Whether a line written *writes* times has failed permanently.
 
-        Deterministic given the write counts: a cell fails exactly when
+        Deterministic given the write count: a cell fails exactly when
         its line's cumulative writes reach ``endurance_writes`` (the
         idealized threshold model :mod:`repro.nvram.endurance` projects
         lifetimes from).
         """
+        endurance = self.scenario.endurance_writes
+        return endurance is not None and writes >= endurance
+
+    def wearout_failed_lines(self, writes_per_line: np.ndarray) -> np.ndarray:
+        """Boolean mask of lines whose wear exceeds the endurance budget
+        (:meth:`line_worn_out`, line by line)."""
         counts = np.asarray(writes_per_line, dtype=np.int64)
-        if self.scenario.endurance_writes is None:
-            return np.zeros(counts.shape, dtype=bool)
-        return counts >= self.scenario.endurance_writes
+        return np.array([self.line_worn_out(int(c)) for c in counts.flat],
+                        dtype=bool).reshape(counts.shape)

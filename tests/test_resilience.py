@@ -272,6 +272,27 @@ class TestResilienceExperiment:
         md = experiments_markdown([_resilience_result], ctx)
         assert "## resilience:" in md
 
+    def test_reads_footprints_without_replaying(self, tmp_path):
+        # Only each app's paper-scale footprint is needed, and that comes
+        # from the run spec: neither experiment records nor replays.
+        from repro.experiments import extensions, resilience_ext
+
+        knobs = dict(refs_per_iteration=2_000, scale=1.0 / 256.0, n_iterations=3,
+                     cache_dir=str(tmp_path / "cache"))
+        ExperimentContext(**knobs).prefetch()  # a warm cache
+        ctx = ExperimentContext(**knobs)
+        resilience_ext.run(ctx)
+        extensions.run_checkpoint(ctx)
+        assert ctx.engine.stats.app_runs == 0
+        assert ctx.engine.stats.replays == 0
+
+    def test_suite_graph_starts_it_without_records(self):
+        from repro.experiments.runner import EXPERIMENTS
+        from repro.sched import build_suite_graph
+
+        graph = build_suite_graph(ExperimentContext(), EXPERIMENTS)
+        assert graph.tasks["exp:resilience"].deps == ()
+
 
 @pytest.fixture(scope="module")
 def _resilience_result():
