@@ -59,7 +59,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Iterator, List
 
-from repro.errors import CacheLockError, TraceError
+from repro.errors import CacheLockError, FencedOutError, TraceError
 from repro.trace.fsio import (
     content_digest_from_crcs,
     ensure_dir_chain,
@@ -443,11 +443,12 @@ class PendingArtifact:
     Two fencing extensions for the distributed queue:
 
     * ``fence`` — a :class:`~repro.engine.locks.FencingToken` validated
+      before the constructor clears the key directory's partial files,
       at the *start* of commit (before the writer publishes anything)
       and again immediately before the commit marker lands. A stale
       token raises :class:`~repro.errors.FencedOutError` and the
       recording is discarded — a zombie worker whose lease was revoked
-      can never publish over the current holder's artifact;
+      can never delete or publish over the current holder's artifact;
     * ``final_dir`` — staged mode: the recording is written into a
       private sibling stage directory (``<key>.stage.<epoch>-<pid>/``)
       and published into ``final_dir`` with one atomic rename after the
@@ -480,6 +481,14 @@ class PendingArtifact:
             # clean both kinds. Staged mode skips this: the stage dir is
             # freshly created and the final dir belongs to someone else
             # until the publish rename.
+            try:
+                # a worker frozen since it took the flock may wake after
+                # a staged winner published here: its stale token must
+                # not clear the winner's files
+                self._fence_check(f"clear partial files of artifact {key[:12]}")
+            except FencedOutError:
+                self._finish()
+                raise
             for name in (ARTIFACT_FILES + (REFS_NPZ,) + TMP_FILES + TMP_DIRS
                          + (LAST_ACCESS_FILE,)):
                 path = os.path.join(directory, name)

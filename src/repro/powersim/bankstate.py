@@ -21,16 +21,6 @@ class BankStatus(enum.IntEnum):
     ROW_OPEN = 1
 
 
-class CommandKind(enum.IntEnum):
-    """The command vocabulary the controller issues to ranks."""
-
-    ACTIVATE = 0
-    PRECHARGE = 1
-    READ = 2
-    WRITE = 3
-    REFRESH = 4
-
-
 @dataclass
 class BankState:
     """State of one bank."""
@@ -60,7 +50,7 @@ class BankArray:
     """All banks of the memory system in flat numpy arrays (hot path).
 
     Scalar :class:`BankState` objects exist for inspection/testing; the
-    controller's per-access loop uses these arrays directly.
+    controller classifies each batch against these arrays directly.
     """
 
     def __init__(self, n_banks_total: int) -> None:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.powersim.bankstate import BankArray
 
 
@@ -50,6 +52,20 @@ class Rank:
         if activated:
             self.activity.activations += 1
         self.activity.busy_ns += burst_ns
+
+    def record_batch(self, reads: int, writes: int, activations: int, burst_ns: float) -> None:
+        """Account *reads + writes* bursts at once, as that many
+        :meth:`record_access` calls would: busy time grows one burst at a
+        time, so it rounds exactly as the sequential sum does."""
+        act = self.activity
+        act.reads += reads
+        act.writes += writes
+        act.activations += activations
+        n = reads + writes
+        if n:
+            steps = np.full(n + 1, burst_ns)
+            steps[0] = act.busy_ns
+            act.busy_ns = float(np.add.accumulate(steps)[-1])
 
     def utilization(self, total_ns: float) -> float:
         """Fraction of wall time this rank spent bursting."""

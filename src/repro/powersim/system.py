@@ -14,6 +14,8 @@ import os
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from repro.nvram.technology import MemoryTechnology, TECHNOLOGIES
 from repro.powersim.config import DeviceConfig, PowerModelConfig, TABLE3_DEVICE
 from repro.powersim.controller import ControllerStats, MemoryController
@@ -88,9 +90,23 @@ def simulate_power(
             for batch in reader:
                 system.process_batch(batch)
     else:
-        for batch in trace:
-            system.process_batch(batch)
+        system.process_batch(_one_batch(trace))
     return system.report()
+
+
+def _one_batch(trace: Iterable[RefBatch]) -> RefBatch:
+    """The trace as one batch. The controller carries all its state across
+    batch boundaries, so one call yields the same report as one call per
+    batch, and classifies the trace once."""
+    batches = list(trace)
+    if not batches:
+        return RefBatch.empty()
+    return RefBatch(
+        addr=np.concatenate([b.addr for b in batches]),
+        is_write=np.concatenate([b.is_write for b in batches]),
+        size=np.concatenate([b.size for b in batches]),
+        oid=np.concatenate([b.oid for b in batches]),
+    )
 
 
 def normalized_power(

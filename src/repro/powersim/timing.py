@@ -4,10 +4,13 @@
 provides timing information, power estimates can be accurately computed.
 In the absence of timing information ... memory requests are processed by
 the memory system at full speed." Table VI uses full-speed mode; this
-module supplies the other half: batches carrive with *arrival timestamps*
+module supplies the other half: batches arrive with *arrival timestamps*
 (e.g. from the interval core model), the channel idles between them, and
 idle ranks drop into power-down — so average power now reflects the
 workload's real memory intensity instead of a saturated channel.
+
+Both modes run the same controller loop: full speed is the case where
+every access arrives at time 0, so the channel never idles.
 """
 
 from __future__ import annotations
@@ -71,34 +74,16 @@ class TimedMemorySystem:
 
         Arrivals must be non-decreasing; idle gaps (arrival beyond the
         channel cursor) advance the clock and accumulate as idle time.
-        Implementation: the batch is split at every idle gap and the
-        controller's full-speed path runs each busy burst.
+        The controller compares each access's arrival with its cursor as
+        it runs the batch.
         """
         arrival_ns = np.asarray(arrival_ns, dtype=np.float64)
         if arrival_ns.shape != batch.addr.shape:
             raise SimulationError("arrival array must match the batch")
         if np.any(np.diff(arrival_ns) < 0):
             raise SimulationError("arrivals must be non-decreasing")
-        if len(batch) == 0:
-            return
-        ctl = self.controller
-        # find gap points: arrival beyond the projected channel time
-        start = 0
-        for i in range(len(batch)):
-            if arrival_ns[i] > ctl._now:
-                # flush the contiguous run before the gap
-                if i > start:
-                    ctl.process_batch(batch.take(np.arange(start, i)))
-                gap = arrival_ns[i] - ctl._now
-                if gap > 0:
-                    self._idle_ns += gap
-                    ctl._now = float(arrival_ns[i])
-                start = i
-        if start < len(batch):
-            ctl.process_batch(batch.take(np.arange(start, len(batch))))
-        ctl.stats.elapsed_ns = max(
-            ctl.stats.elapsed_ns, float(ctl._now), float(ctl.banks.busy_until.max())
-        )
+        self._idle_ns = self.controller.process_arrivals(batch, arrival_ns.tolist(),
+                                                         self._idle_ns)
 
     # ------------------------------------------------------------------
     def report(self) -> TimedPowerReport:

@@ -679,7 +679,11 @@ class QueueCoordinator:
                     continue
                 if not pub["granted"]:
                     # the worker claimed + finished between two polls;
+                    # retire the ready file _observe_grants never saw
+                    # (released, the epoch is claimable again: workers
+                    # would re-run it forever ahead of later tasks) and
                     # backfill the start event so streams stay paired
+                    self.queue.clear_ready(tid)
                     log.emit(TASK_STARTED, tid, attempt=pub["attempt"],
                              detail=f"lease -> {rec.get('worker_id', '')}")
                     if self.journal is not None:

@@ -30,12 +30,18 @@ from dataclasses import asdict
 import pytest
 
 from repro.apps import APPLICATIONS
-from repro.engine.artifacts import QUEUE_DIR, QUEUE_LEASES_DIR, ArtifactCache
+from repro.engine.artifacts import (
+    QUEUE_DIR,
+    QUEUE_LEASES_DIR,
+    ArtifactCache,
+    PendingArtifact,
+)
 from repro.engine.locks import FencingToken, KeyLock, read_fence, write_fence
 from repro.engine.spec import RunSpec
 from repro.errors import FencedOutError, QueueError
 from repro.experiments.runner import EXPERIMENTS, run_all
 from repro.sched.adaptive import adaptive_jobs, run_history
+from repro.sched.events import EventLog
 from repro.sched.graph import (
     EXPERIMENT_PREFIX,
     ExperimentTask,
@@ -50,6 +56,7 @@ from repro.sched.queue import (
     WorkQueue,
     safe_task_id,
 )
+from repro.sched.scheduler import SchedulerOutcome
 from repro.sched.suite import run_suite_parallel
 from repro.sched.workers import WorkerConfig
 from tests.test_sched import FAST, make_ctx
@@ -238,6 +245,28 @@ class TestFencedCommit:
         pending.abort()
         assert os.path.exists(marker)
 
+    def test_stale_recorder_does_not_clear_a_committed_artifact(self, tmp_path):
+        # a worker frozen between taking the key flock and clearing the
+        # key's partial files thaws after a staged winner published into
+        # the same directory: it must refuse before deleting anything
+        cache = ArtifactCache(str(tmp_path / "cache"))
+        fence = str(tmp_path / "fence")
+        write_fence(fence, 2)
+        cache.fence = FencingToken(path=fence, epoch=2)
+        spec = self._spec()
+        cache.begin(spec).commit([], {"spec": spec.canonical(), "key": spec.key})
+        directory = cache.dir_for(spec.key)
+        before = _snapshot(directory)
+        assert {"meta.json", "events.json"} <= set(before)
+        assert any(name.startswith("refs.tv3") for name in before)
+        lock = KeyLock(cache.lock_for(spec.key).path).acquire()
+        with pytest.raises(FencedOutError):
+            PendingArtifact(spec.key, directory, fs=cache.fs, lock=lock,
+                            fence=FencingToken(path=fence, epoch=1))
+        assert not lock.held
+        assert _snapshot(directory) == before
+        assert cache.get(spec) is not None
+
 
 # ----------------------------------------------------------------------
 def _worker_entry(cache_root: str, run_id: str, max_tasks: int) -> None:
@@ -380,6 +409,30 @@ class TestQueueTransportEndToEnd:
             assert got.text == want.text
             assert got.rows == want.rows
             assert got.notes == want.notes
+
+    def test_task_finished_between_polls_is_not_claimed_again(self, tmp_path):
+        # a worker can claim, run and release a task before the
+        # coordinator ever sees its lease; collecting the result must
+        # retire the ready file, or workers re-run that task forever and
+        # never reach the tasks sorted after it
+        cache_root = str(tmp_path / "cache")
+        os.makedirs(cache_root)
+        graph = TaskGraph([ExperimentTask(task_id="exp:config",
+                                          exp_id="config")])
+        cfg = WorkerConfig(cache_root=cache_root, seed=0, apps=("cam",),
+                           **FAST)
+        coord = QueueCoordinator(graph, cfg, cache_root=cache_root,
+                                 run_id="fast", jobs=0)
+        coord.publish()
+        done, published, attempts = set(), {}, {}
+        outcome, log = SchedulerOutcome(), EventLog()
+        coord._publish_ready(done, published, attempts, outcome, log)
+        worker = QueueWorker(cache_root, "fast", worker_id="w1", poll_s=0.01)
+        entry, lease = worker.claim_next()
+        assert worker.run_claimed(entry, lease) == "ok"
+        coord._collect(done, published, attempts, outcome, log)
+        assert done == {"exp:config"}
+        assert worker.claim_next() is None
 
     def test_worker_error_retries_then_skips_dependents(self, tmp_path):
         cache_root = str(tmp_path / "cache")
