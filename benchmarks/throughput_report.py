@@ -11,12 +11,14 @@ Measures, on the same inputs the pytest-benchmark suite uses:
   (``map`` / ``verify`` / ``decode`` / ``consume``), the *warm* replay
   (per-chunk decode memo), and a ``replay_window`` probe showing a 10%
   window decodes only the chunks it overlaps;
-* experiment-suite wall-clock under the :mod:`repro.sched` scheduler,
+* experiment-suite wall-clock under the :mod:`repro.sched` work queue,
   ``--jobs 1`` vs ``--jobs 4`` on an empty shared cache. The speedup is
   hardware-dependent: on a single-CPU runner the parallel run *loses*
   to process overhead, so the section records ``cpu_count`` alongside
   the wall-clocks and the differential check (jobs-independent results)
-  is the hard assertion, not the speedup.
+  is the hard assertion, not the speedup. It also records the
+  ``--jobs adaptive`` decision the parallel run's journaled history
+  produces afterwards (chosen pool size + human-readable reason).
 * ``policy_zoo`` sweep throughput: the 60-cell policy x workload x
   device x endurance-budget grid on a cold artifact cache (records the
   three workload traces) vs a warm one (replay-only; must execute zero
@@ -26,12 +28,6 @@ Measures, on the same inputs the pytest-benchmark suite uses:
   sequential warm requests (``requests_per_s_warm`` — cache hit +
   digest + HTTP round trip per request). The differential check is that
   every warm response carries the cold request's exact digest.
-* queue-transport wall-clock: a two-experiment slice of the suite run
-  once at ``jobs=1`` and once over the filesystem work queue
-  (``transport="queue"``, two leased workers, fencing epochs live),
-  with the bit-identical differential check as the hard assertion, and
-  the ``--jobs adaptive`` decision the queue run's journaled history
-  produces afterwards (chosen pool size + human-readable reason).
 
 Usage::
 
@@ -225,8 +221,12 @@ def _suite_run(tmp_root: str, jobs: int) -> tuple[float, list, object]:
 def scheduler_section(tmp_root: str) -> dict:
     import os
 
+    from repro.experiments.runner import EXPERIMENTS
+    from repro.sched.adaptive import adaptive_jobs
+    from repro.sched.suite import build_suite_graph
+
     t_seq, seq, seq_ctx = _suite_run(tmp_root, jobs=1)
-    t_par, par, _ = _suite_run(tmp_root, jobs=SCHED_JOBS)
+    t_par, par, par_ctx = _suite_run(tmp_root, jobs=SCHED_JOBS)
     identical = (
         [r.exp_id for r in seq] == [r.exp_id for r in par]
         and all(a.text == b.text and a.rows == b.rows and a.notes == b.notes
@@ -236,6 +236,10 @@ def scheduler_section(tmp_root: str) -> dict:
         raise SystemExit(
             "differential check failed: jobs=1 and jobs="
             f"{SCHED_JOBS} suite results diverge")
+    # what would --jobs adaptive do, given the history this run journaled?
+    jobs, reason = adaptive_jobs(
+        par_ctx.engine.cache.root,
+        width=build_suite_graph(par_ctx, EXPERIMENTS).width())
     return {
         "experiments": len(seq),
         "refs_per_iteration": SCHED_REFS,
@@ -244,61 +248,6 @@ def scheduler_section(tmp_root: str) -> dict:
         "jobs1_wall_s": round(t_seq, 3),
         f"jobs{SCHED_JOBS}_wall_s": round(t_par, 3),
         "speedup": round(t_seq / t_par, 2),
-        "bit_identical_results": identical,
-    }
-
-
-#: Experiments in the queue-transport bench: a record-heavy table and a
-#: figure sharing its artifacts, so the queue exercises both task kinds.
-QUEUE_EXPERIMENTS = ("table1", "fig2")
-QUEUE_JOBS = 2
-
-
-def queue_section(tmp_root: str) -> dict:
-    import tempfile
-
-    from repro.experiments.common import ExperimentContext
-    from repro.experiments.runner import EXPERIMENTS, run_all
-    from repro.sched.adaptive import adaptive_jobs
-    from repro.sched.suite import run_suite_parallel
-
-    exps = {k: EXPERIMENTS[k] for k in QUEUE_EXPERIMENTS}
-
-    def ctx():
-        return ExperimentContext(
-            refs_per_iteration=SCHED_REFS, scale=SCHED_SCALE,
-            n_iterations=SCHED_ITERS,
-            cache_dir=tempfile.mkdtemp(dir=tmp_root))
-
-    t0 = time.perf_counter()
-    baseline = run_all(ctx(), experiments=exps, jobs=1)
-    t_seq = time.perf_counter() - t0
-
-    queue_ctx = ctx()
-    t0 = time.perf_counter()
-    results, report = run_suite_parallel(
-        queue_ctx, exps, jobs=QUEUE_JOBS, transport="queue",
-        lease_ttl_s=10.0, handle_signals=False)
-    t_queue = time.perf_counter() - t0
-    identical = (
-        [r.exp_id for r in baseline] == [r.exp_id for r in results]
-        and all(a.text == b.text and a.rows == b.rows and a.notes == b.notes
-                for a, b in zip(baseline, results))
-    )
-    if not identical or report.n_failed:
-        raise SystemExit(
-            "differential check failed: queue-transport results diverge "
-            f"from jobs=1 (n_failed={report.n_failed})")
-
-    # what would --jobs adaptive do, given the history this run journaled?
-    jobs, reason = adaptive_jobs(queue_ctx.engine.cache.root,
-                                 width=len(exps))
-    return {
-        "experiments": list(QUEUE_EXPERIMENTS),
-        "refs_per_iteration": SCHED_REFS,
-        "jobs1_wall_s": round(t_seq, 3),
-        f"queue_jobs{QUEUE_JOBS}_wall_s": round(t_queue, 3),
-        "queue_overhead_vs_jobs1": round(t_queue / t_seq, 2),
         "bit_identical_results": identical,
         "adaptive": {"jobs": jobs, "reason": reason},
     }
@@ -439,7 +388,6 @@ def main(argv: list[str] | None = None) -> int:
             "cache_hierarchy": cache_section(),
             "engine": engine_section(tmp),
             "scheduler": scheduler_section(tmp),
-            "queue": queue_section(tmp),
             "policy_zoo": policy_zoo_section(tmp),
             "service": service_section(tmp),
         }

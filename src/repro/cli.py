@@ -34,21 +34,21 @@ Subcommands:
 * ``serve`` — run the analysis daemon: JSON-over-HTTP requests answered
   from the artifact cache with admission control, single-flight dedup,
   circuit breakers, and graceful SIGTERM drain (exit ``128 + signum``);
-* ``work`` — join a queue-transport suite run
-  (``experiments --transport queue``) as a worker agent: claim leased
-  tasks from ``<cache-dir>/runs/<run-id>/queue/``, heartbeat while
-  running them, publish results, exit 0 when the coordinator writes the
-  STOP marker (a ``--once``/``--max-tasks`` worker fenced out of a task
-  exits 7);
+* ``work`` — join a scheduled suite run (``experiments all --jobs N``
+  or ``--run-id ID``) as a worker agent: claim leased tasks from
+  ``<cache-dir>/runs/<run-id>/queue/``, heartbeat while running them,
+  publish results, exit 0 when the coordinator writes the STOP marker
+  (a ``--once``/``--max-tasks`` worker fenced out of a task exits 7);
 * ``policies ls`` — list the registered placement/migration policies
   with their default parameters;
 * ``policies sweep`` — run the ``policy_zoo`` grid (policy x workload x
   device x endurance budget) against a shared artifact cache;
-  ``--cache-dir`` makes repeat sweeps replay-only, ``--jobs`` /
-  ``--transport queue`` parallelize the record phase;
+  ``--cache-dir`` makes repeat sweeps replay-only, ``--jobs``
+  parallelizes the record phase;
 * ``experiments <id>|all`` — regenerate paper tables/figures;
-  ``--jobs N`` runs the suite on N worker processes sharing one
-  artifact cache (0 = one per CPU; results identical to ``--jobs 1``).
+  ``--jobs N`` runs the suite on up to N worker processes, one task
+  each, sharing one artifact cache (0 = one per CPU; results identical
+  to ``--jobs 1``).
   Scheduled runs append a crash-consistent journal under
   ``<cache-dir>/runs/<run-id>/``; ``--resume <run-id>`` re-executes
   only the tasks that never finished, and SIGINT/SIGTERM drain
@@ -370,7 +370,7 @@ def cmd_policies(args: argparse.Namespace) -> int:
         return 0
 
     # action == "sweep": run the policy_zoo grid through the suite
-    # machinery (shared artifact cache, optional worker pool / queue)
+    # machinery (shared artifact cache, optional work queue)
     for flag, value in (("--refs", args.refs), ("--iterations", args.iterations),
                         ("--scale", args.scale)):
         if value <= 0:
@@ -395,7 +395,6 @@ def cmd_policies(args: argparse.Namespace) -> int:
         ctx,
         experiments={"policy_zoo": policy_zoo.run},
         jobs=args.jobs,
-        transport=args.transport,
     )
     code = 0
     for res in results:
@@ -584,7 +583,7 @@ def main(argv: list[str] | None = None) -> int:
     p_sv.add_argument("--seed", type=int, default=0,
                       help="jitter seed for breaker backoff")
     p_wk = sub.add_parser(
-        "work", help="join a queue-transport suite run as a worker agent")
+        "work", help="join a scheduled suite run as a worker agent")
     p_wk.add_argument("--cache-dir", required=True,
                       help="artifact-cache root shared with the coordinator")
     p_wk.add_argument("--run-id", required=True,
@@ -622,10 +621,8 @@ def main(argv: list[str] | None = None) -> int:
                            "dir; reuse for warm-cache sweeps)")
     p_ps.add_argument("--jobs", type=int, default=1,
                       help="worker processes for the record phase "
-                           "(0 = one per CPU)")
-    p_ps.add_argument("--transport", choices=("process", "queue"),
-                      default="process",
-                      help="queue lets `nvscavenger work` agents join")
+                           "(0 = one per CPU); `nvscavenger work` agents "
+                           "can join any --jobs run")
     p_cc = sub.add_parser(
         "crashcheck",
         help="model-check a durable protocol's crash consistency")

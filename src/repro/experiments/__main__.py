@@ -1,6 +1,5 @@
 """CLI: ``python -m repro.experiments <id>|all [--write]
-[--jobs N|adaptive] [--transport process|queue]
-[--run-id ID | --resume ID]``.
+[--jobs N|adaptive] [--run-id ID | --resume ID]``.
 
 Exit codes: 0 success, 2 usage/configuration errors (including a
 ``--resume`` whose journal is missing or belongs to a different suite),
@@ -68,16 +67,13 @@ def main(argv: list[str] | None = None) -> int:
              "sequential in-process; 0 = auto: one per CPU, clamped to "
              "the task graph's useful parallelism; 'adaptive' = sized "
              "from journaled run history, degrading to sequential where "
-             "parallelism demonstrably loses). Workers share the "
-             "artifact cache, so each distinct run spec is still executed "
-             "exactly once and results are identical to --jobs 1",
-    )
-    parser.add_argument(
-        "--transport", choices=("process", "queue"), default="process",
-        help="with 'all': 'process' runs workers as a local pool; "
-             "'queue' publishes tasks to a filesystem work queue under "
-             "<cache-dir>/runs/<run-id>/queue/ that any host sharing the "
-             "cache can join via `nvscavenger work`",
+             "parallelism demonstrably loses). Each task runs in a fresh "
+             "worker process; tasks are published to a work queue under "
+             "<cache-dir>/runs/<run-id>/queue/ that hosts sharing the "
+             "cache can join via `nvscavenger work --run-id`. Workers "
+             "share the artifact cache, so each distinct run spec is "
+             "still executed exactly once and results are identical to "
+             "--jobs 1",
     )
     parser.add_argument(
         "--run-id", default=None, metavar="ID",
@@ -132,13 +128,12 @@ def main(argv: list[str] | None = None) -> int:
         )
         if args.experiment == "all":
             on_event = None
-            if jobs_estimate > 1 or args.transport == "queue":
+            if jobs_estimate > 1:
                 def on_event(ev):  # live progress on stderr, results on stdout
                     print(f"sched: {ev}", file=sys.stderr)
             results = run_all(ctx, jobs=jobs, on_sched_event=on_event,
                               run_id=args.run_id, resume=args.resume,
-                              drain_grace_s=args.grace,
-                              transport=args.transport)
+                              drain_grace_s=args.grace)
             for res in results:
                 print(res)
                 print()

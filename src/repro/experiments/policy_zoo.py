@@ -30,7 +30,7 @@ from repro.policies import (
 from repro.scavenger.report import format_table
 
 #: recorded at context fidelity through the engine (the sweep's record
-#: tasks under --jobs / the queue transport)
+#: tasks under --jobs)
 ARTIFACTS = ("workload:kvcache", "workload:graph", "workload:checkpoint")
 
 WORKLOADS = ("kvcache", "graph", "checkpoint")

@@ -135,7 +135,6 @@ def run_all(
     run_id: str | None = None,
     resume: str | None = None,
     drain_grace_s: float = 10.0,
-    transport: str = "process",
     lease_ttl_s: float | None = None,
 ) -> list[ExperimentResult | ExperimentFailure]:
     """Run every experiment against one shared (cached) context.
@@ -154,16 +153,20 @@ def run_all(
     each experiment's wall-clock time; overruns are re-run once at
     reduced ``refs_per_iteration`` (noted in the result).
 
-    ``jobs > 1`` runs the suite through the :mod:`repro.sched` worker
-    pool instead: record tasks (one per distinct run spec) execute
-    first, experiments run as their dependencies land, and workers
-    coordinate through the shared artifact cache so each spec is still
-    executed exactly once. Results come back in the same canonical
-    order with the same values as ``jobs=1``; ``on_sched_event``
-    receives live :class:`~repro.sched.events.SchedEvent` progress
-    rows. ``prefetch`` is implied (the record tasks *are* the
-    prefetch). The default ``jobs=1`` is the sequential in-process path,
-    byte-for-byte identical to previous behavior.
+    ``jobs > 1`` runs the suite through the :mod:`repro.sched` work
+    queue instead: record tasks (one per distinct run spec) execute
+    first, experiments run as their dependencies land, each task in a
+    fresh local worker process (at most ``jobs`` at a time), and
+    workers coordinate through the shared artifact cache so each spec
+    is still executed exactly once. Results come back in the same
+    canonical order with the same values as ``jobs=1``;
+    ``on_sched_event`` receives live
+    :class:`~repro.sched.events.SchedEvent` progress rows. ``prefetch``
+    is implied (the record tasks *are* the prefetch). ``nvscavenger work
+    --run-id`` agents on other hosts sharing the cache can join the run
+    (``lease_ttl_s`` tunes their crash detection). The default
+    ``jobs=1`` is the sequential in-process path, byte-for-byte
+    identical to previous behavior.
 
     The scheduled path journals every task to
     ``<cache-root>/runs/<run-id>/journal.jsonl``; ``resume`` replays a
@@ -176,16 +179,14 @@ def run_all(
     which aborts the suite immediately instead of being retried or
     recorded as an experiment failure.
 
-    ``jobs="adaptive"`` sizes the pool from journaled run history
-    (degrading to sequential where parallelism demonstrably loses);
-    ``transport="queue"`` runs the suite over the filesystem work queue
-    so ``nvscavenger work`` agents on other hosts can join
-    (``lease_ttl_s`` tunes their crash detection).
+    ``jobs=0`` sizes the pool to the CPU count (clamped to the suite's
+    useful width); ``jobs="adaptive"`` sizes it from journaled run
+    history, degrading to sequential where parallelism demonstrably
+    loses.
     """
     ctx = ctx or ExperimentContext()
     exps = EXPERIMENTS if experiments is None else experiments
-    if (jobs != 1 or run_id is not None or resume is not None
-            or transport != "process"):
+    if jobs != 1 or run_id is not None or resume is not None:
         from repro.sched.suite import run_suite_parallel
 
         # jobs passes through raw: run_suite_parallel resolves 0 (and
@@ -201,7 +202,6 @@ def run_all(
             run_id=run_id,
             resume=resume,
             drain_grace_s=drain_grace_s,
-            transport=transport,
             lease_ttl_s=lease_ttl_s,
         )
         return results

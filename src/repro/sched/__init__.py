@@ -1,32 +1,31 @@
-"""repro.sched — dependency-aware multi-process scheduler for the suite.
+"""repro.sched — dependency-aware, multi-process execution of the suite.
 
-The subsystem has four layers:
+The subsystem has these layers:
 
 * :mod:`repro.sched.graph` — expands one suite invocation into a
   deterministic DAG: one record task per *distinct* run spec
   (content-addressed dedup), one experiment task per experiment,
   depending on the records for the artifacts its module declares;
-* :mod:`repro.sched.workers` — spawn-safe worker entry points; workers
-  coordinate through the shared artifact cache's per-key ``flock`` so a
-  spec is executed once cluster-wide no matter how tasks land;
+* :mod:`repro.sched.workers` — spawn-safe task execution
+  (:func:`~repro.sched.workers.task_process_main`); workers coordinate
+  through the shared artifact cache's per-key ``flock`` so a spec is
+  executed once cluster-wide no matter how tasks land;
 * :mod:`repro.sched.journal` — the per-run write-ahead log: CRC32'd
   fsync'd JSONL appends under ``<cache-root>/runs/<run-id>/``, torn-tail
   truncation, and the replay that turns a journal back into scheduler
   state for ``resume=``;
-* :mod:`repro.sched.scheduler` — the bounded worker pool: liveness- and
-  timeout-based crash detection, deterministic retry-with-reseed,
-  structured progress events, graceful SIGINT/SIGTERM drain, and
-  dependency-failure skip propagation;
+* :mod:`repro.sched.queue` — the executor: a crash-consistent
+  filesystem work queue under the run directory, with ``O_EXCL`` lease
+  claims, heartbeat liveness, and monotonic fencing epochs so a revoked
+  (zombie) worker can never commit over its successor. Its coordinator
+  forks one-task local workers on demand, retries crashed or timed-out
+  tasks with a deterministic reseed, skips the dependents of a task out
+  of retries, and drains gracefully on SIGINT/SIGTERM; any host sharing
+  the cache joins a run via ``nvscavenger work``;
 * :mod:`repro.sched.suite` — the ``run_all(jobs=N)`` entry point:
   canonical result ordering and parent-side stats merging, so a
   parallel suite run is bit-identical to a sequential one — resumed or
   not;
-* :mod:`repro.sched.queue` — the distributed transport: a
-  crash-consistent filesystem work queue under the run directory, with
-  ``O_EXCL`` lease claims, heartbeat liveness, and monotonic fencing
-  epochs so a revoked (zombie) worker can never commit over its
-  successor — any host sharing the cache joins via ``nvscavenger
-  work``;
 * :mod:`repro.sched.adaptive` — evidence-based pool sizing: mines the
   journals of finished runs for observed speedup per pool size and
   degrades to sequential where parallelism demonstrably loses.
@@ -64,19 +63,23 @@ from repro.sched.queue import (
     EXIT_FENCED,
     QueueCoordinator,
     QueueWorker,
+    SchedulerOutcome,
     WorkQueue,
     safe_task_id,
 )
-from repro.sched.scheduler import Scheduler, SchedulerOutcome, default_start_method
 from repro.sched.suite import (
     JOBS_ADAPTIVE,
-    TRANSPORTS,
     build_suite_graph,
     declared_artifacts,
     resolve_jobs,
     run_suite_parallel,
 )
-from repro.sched.workers import WorkerConfig, run_experiment_task, run_record_task
+from repro.sched.workers import (
+    WorkerConfig,
+    default_start_method,
+    run_experiment_task,
+    run_record_task,
+)
 
 __all__ = [
     "TASK_FAILED",
@@ -100,24 +103,22 @@ __all__ = [
     "read_journal",
     "replay_state",
     "run_dir",
-    "Scheduler",
-    "SchedulerOutcome",
-    "default_start_method",
     "EXIT_FENCED",
     "QueueCoordinator",
     "QueueWorker",
+    "SchedulerOutcome",
     "WorkQueue",
     "safe_task_id",
     "RunSample",
     "adaptive_jobs",
     "run_history",
     "JOBS_ADAPTIVE",
-    "TRANSPORTS",
     "build_suite_graph",
     "declared_artifacts",
     "resolve_jobs",
     "run_suite_parallel",
     "WorkerConfig",
+    "default_start_method",
     "run_experiment_task",
     "run_record_task",
 ]

@@ -74,7 +74,7 @@ TASK_FAILED = "task_failed"
 TASK_SKIPPED = "task_skipped"
 RUN_INTERRUPTED = "run_interrupted"
 RUN_FINISHED = "run_finished"
-#: Queue-transport lifecycle records (:mod:`repro.sched.queue`).
+#: Work-queue lifecycle records (:mod:`repro.sched.queue`).
 WORKER_JOINED = "worker_joined"
 LEASE_GRANTED = "lease_granted"
 LEASE_REVOKED = "lease_revoked"
@@ -335,7 +335,7 @@ class RunJournal:
     def run_interrupted(self, signum: int) -> None:
         self.append(RUN_INTERRUPTED, signum=signum)
 
-    # -- queue-transport lifecycle wrappers ----------------------------
+    # -- work-queue lifecycle wrappers --------------------------------
     def worker_joined(self, worker_id: str) -> None:
         self.append(WORKER_JOINED, worker_id=worker_id)
 

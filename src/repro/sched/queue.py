@@ -1,20 +1,26 @@
-"""Crash-consistent, filesystem-backed distributed work queue.
+"""Crash-consistent, filesystem-backed work queue: the suite executor.
 
-Any host that can see the artifact-cache filesystem can join a suite
-run: the coordinator (:class:`QueueCoordinator`, behind
-``run_suite_parallel(transport="queue")``) publishes the task graph and
-per-task *ready files* under ``<cache-root>/runs/<run-id>/queue/``, and
-worker agents (:class:`QueueWorker`, behind ``nvscavenger work``) claim
-tasks, run them against the shared cache, and publish results — all
-through ordinary files with the same durability discipline the cache
-itself uses (tmp + fsync + atomic rename).
+Every scheduled suite run — ``run_all(jobs > 1)``, or any ``run_id`` /
+``resume`` — goes through here. The coordinator
+(:class:`QueueCoordinator`, behind
+:func:`~repro.sched.suite.run_suite_parallel`) publishes the task graph
+and per-task *ready files* under ``<cache-root>/runs/<run-id>/queue/``
+and forks up to ``jobs`` local workers; worker agents on any host that
+can see the artifact-cache filesystem (:class:`QueueWorker`, behind
+``nvscavenger work``) may join. Workers claim tasks, run them against
+the shared cache, and publish results — all through ordinary files with
+the same durability discipline the cache itself uses (tmp + fsync +
+atomic rename).
 
 Layout under ``runs/<run-id>/queue/``::
 
     manifest.json            run header: serialized task graph, worker
                              config, lease TTL / heartbeat knobs
     tasks/<tid>.json         ready file: {task_id, epoch, attempt,
-                             seed_offset} — present means claimable
+                             seed_offset[, local]} — present means
+                             claimable; ``local`` marks an experiment
+                             callable only the coordinator's own
+                             workers hold
     leases/<tid>.<e>.json    claim at epoch e: created with O_EXCL (the
                              atomic claim), rewritten by the holder's
                              heartbeat thread (mtime = liveness)
@@ -27,7 +33,8 @@ Lease protocol and the zombie problem:
 * **claim** — ``O_EXCL``-create the epoch-named lease file; exactly one
   worker can win an epoch. The claim is validated against the fence
   *after* it lands, so a claim racing a revocation loses even though
-  its ``O_EXCL`` succeeded.
+  its ``O_EXCL`` succeeded. Workers try ready tasks in graph order, so
+  record tasks go before the experiments waiting on them.
 * **heartbeat** — the holder atomically rewrites its lease file every
   ``heartbeat_s``; the coordinator treats a lease whose mtime is older
   than ``lease_ttl_s`` as dead. A worker on the coordinator's own host
@@ -39,18 +46,28 @@ Lease protocol and the zombie problem:
   key lock, commit an artifact, or publish a result, *no matter when it
   wakes up* — a SIGSTOPped zombie that thaws after its task was
   reassigned and finished is refused at every write path with
-  :class:`~repro.errors.FencedOutError`.
-* **retry** — a revoked or crashed attempt requeues with the scheduler's
-  deterministic reseed policy (``seed + attempt * reseed_stride``;
-  record tasks never reseed because the spec *is* their cache key), and
-  a task out of retries dooms its transitive dependents exactly like
-  the process transport (:func:`repro.sched.scheduler.skip_dependents`).
+  :class:`~repro.errors.FencedOutError`. Revoking a local worker's
+  lease also terminates that process.
+* **retry** — a revoked or crashed attempt requeues with a
+  deterministic reseed (``seed + attempt * reseed_stride``; record
+  tasks never reseed because the spec *is* their cache key), and a task
+  out of retries dooms its transitive dependents
+  (:func:`skip_dependents`).
+* **resume** — a coordinator reusing a run directory first drops the
+  earlier run's STOP marker and ready files and moves each unfinished
+  task's fence past every epoch that run used, so the task restarts at
+  attempt 0 and any worker left over from the earlier run is fenced out.
+
+Local workers run **one task each** (a process keeps the memory of
+every task it has run): the coordinator forks one only when a published
+task is unclaimed, and sleeps on their process sentinels, so a finished
+task's dependents start without waiting out a poll.
 
 Results stay bit-identical to a sequential ``jobs=1`` run under
-arbitrary worker SIGKILLs for the same reason the process pool's do:
-workers coordinate through the content-addressed cache (record tasks
-are idempotent cluster-wide), results fold in deterministic graph
-order, and only the coordinator-accepted epoch's payload is used.
+arbitrary worker SIGKILLs: workers coordinate through the
+content-addressed cache (record tasks are idempotent cluster-wide),
+results fold in deterministic graph order, and only the
+coordinator-accepted epoch's payload is used.
 """
 
 from __future__ import annotations
@@ -66,7 +83,9 @@ import sys
 import threading
 import time
 import traceback
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field, replace
+from multiprocessing.connection import wait as wait_for_exits
+from typing import Callable
 
 from repro.engine.artifacts import QUEUE_DIR, QUEUE_LEASES_DIR
 from repro.engine.locks import (
@@ -80,6 +99,7 @@ from repro.sched.events import (
     TASK_FAILED,
     TASK_FINISHED,
     TASK_RETRIED,
+    TASK_SKIPPED,
     TASK_STARTED,
     EventLog,
     SchedulerReport,
@@ -91,16 +111,10 @@ from repro.sched.journal import (
     encode_payload,
     run_dir,
 )
-from repro.sched.scheduler import (
-    INTERRUPT_SIGNALS,
-    SchedulerOutcome,
-    default_start_method,
-    skip_dependents,
-)
 from repro.sched.workers import (
     WorkerConfig,
-    run_experiment_task,
-    run_record_task,
+    default_start_method,
+    task_process_main,
 )
 from repro.trace.fsio import (
     OsFS,
@@ -127,6 +141,9 @@ EXIT_FENCED = 7
 DEFAULT_LEASE_TTL_S = 15.0
 DEFAULT_POLL_S = 0.25
 
+#: Signals that trigger the graceful stop-claiming-and-drain path.
+INTERRUPT_SIGNALS = (signal.SIGINT, signal.SIGTERM)
+
 
 def safe_task_id(task_id: str) -> str:
     """A filesystem-safe, collision-free name for *task_id*.
@@ -136,6 +153,43 @@ def safe_task_id(task_id: str) -> str:
     two ids that sanitize identically still get distinct files."""
     clean = re.sub(r"[^A-Za-z0-9._-]", "_", task_id)[:80]
     return f"{clean}-{hashlib.sha256(task_id.encode()).hexdigest()[:8]}"
+
+
+@dataclass
+class SchedulerOutcome:
+    """Everything one scheduled run produced."""
+
+    #: task_id -> worker payload of the successful attempt
+    payloads: dict[str, dict] = field(default_factory=dict)
+    #: task_id -> structured failure info (every retry exhausted)
+    failures: dict[str, dict] = field(default_factory=dict)
+    #: task_id -> skip info (never launched; a dependency hard-failed)
+    skipped: dict[str, dict] = field(default_factory=dict)
+    report: SchedulerReport | None = None
+
+
+def skip_dependents(graph: TaskGraph, task_id: str, reason: str,
+                    done: set, outcome: SchedulerOutcome, log: EventLog,
+                    journal: RunJournal | None = None) -> None:
+    """Propagate a permanent task failure to its transitive dependents.
+
+    Everything downstream of *task_id* that has not already finished is
+    doomed — report and journal it as skipped instead of launching it to
+    fail slowly against a missing artifact.
+    """
+    for tid in graph.transitive_dependents(task_id):
+        if tid in done or tid in outcome.skipped:
+            continue
+        done.add(tid)
+        outcome.skipped[tid] = {
+            "task_id": tid,
+            "root_cause": task_id,
+            "reason": reason,
+        }
+        log.emit(TASK_SKIPPED, tid,
+                 detail=f"dependency {task_id} failed: {reason}")
+        if journal is not None:
+            journal.task_skipped(tid, task_id, reason)
 
 
 # ----------------------------------------------------------------------
@@ -218,7 +272,7 @@ class WorkQueue:
             raise QueueError(
                 f"run {self.run_id!r} has no queue under {self.root} — "
                 f"wrong --cache-dir/--run-id, or the coordinator never "
-                f"published one (transport='queue')")
+                f"published one")
         manifest = read_json_or_none(self.manifest_path)
         if manifest is None:
             raise QueueError(
@@ -232,11 +286,12 @@ class WorkQueue:
 
     # -- ready files ----------------------------------------------------
     def publish_ready(self, task_id: str, epoch: int, attempt: int,
-                      seed_offset: int) -> None:
-        publish_file(self.ready_path(task_id), json.dumps({
-            "task_id": task_id, "epoch": int(epoch),
-            "attempt": int(attempt), "seed_offset": int(seed_offset),
-        }), self.fs)
+                      seed_offset: int, local: bool = False) -> None:
+        rec = {"task_id": task_id, "epoch": int(epoch),
+               "attempt": int(attempt), "seed_offset": int(seed_offset)}
+        if local:
+            rec["local"] = True
+        publish_file(self.ready_path(task_id), json.dumps(rec), self.fs)
 
     def clear_ready(self, task_id: str) -> None:
         try:
@@ -245,8 +300,7 @@ class WorkQueue:
             pass
 
     def ready_entries(self) -> list[dict]:
-        """Every parseable ready file, in sorted filename order (the
-        deterministic claim order workers scan in)."""
+        """Every parseable ready file, in sorted filename order."""
         try:
             names = sorted(os.listdir(self.tasks_dir))
         except OSError:
@@ -260,15 +314,35 @@ class WorkQueue:
                 out.append(rec)
         return out
 
+    def used_epochs(self) -> dict[str, int]:
+        """Safe task id -> the highest epoch a lease or result file names:
+        how far an earlier run under this run id got with each task."""
+        used: dict[str, int] = {}
+        for directory in (self.leases_dir, self.results_dir):
+            try:
+                names = os.listdir(directory)
+            except OSError:
+                continue
+            for name in names:
+                try:
+                    stem, epoch, _ext = name.rsplit(".", 2)
+                    used[stem] = max(used.get(stem, 0), int(epoch))
+                except ValueError:  # a publish temporary, or garbage
+                    continue
+        return used
+
     # -- leases ---------------------------------------------------------
     def try_claim(self, entry: dict, worker_id: str) -> dict | None:
         """Atomically claim *entry*'s task at its advertised epoch.
 
         Returns the lease record on success, None when someone else holds
-        the epoch or the epoch is already fenced off. The fence is
-        re-checked *after* the ``O_EXCL`` create lands: a revocation that
-        raced us bumped the fence before republishing, so the late claim
-        self-cancels instead of resurrecting a revoked epoch.
+        the epoch, the epoch is already fenced off, or it already has a
+        result. The fence is re-checked *after* the ``O_EXCL`` create
+        lands: a revocation that raced us bumped the fence before
+        republishing, so the late claim self-cancels instead of
+        resurrecting a revoked epoch. So does a claim that won only
+        because the epoch's holder published its result and released the
+        lease before the coordinator retired the ready file.
         """
         task_id, epoch = entry["task_id"], int(entry["epoch"])
         fence = self.fence_path(task_id)
@@ -293,7 +367,8 @@ class WorkQueue:
         except OSError:
             self.release(rec)
             return None
-        if read_fence(fence) > epoch:
+        if (read_fence(fence) > epoch
+                or os.path.exists(self.result_path(task_id, epoch))):
             self.release(rec)
             return None
         return rec
@@ -336,7 +411,9 @@ class QueueWorker:
     Runs anywhere the cache filesystem is mounted. Everything it needs —
     the task graph (specs included), fidelity knobs, lease TTL — comes
     from the queue manifest, so joining a run is just
-    ``nvscavenger work --cache-dir D --run-id R``.
+    ``nvscavenger work --cache-dir D --run-id R``. A local worker forked
+    by the coordinator gets *graph*, *cfg* and the experiment callables
+    that are not in the registry (*exp_fns*) straight from it instead.
     """
 
     def __init__(
@@ -349,21 +426,32 @@ class QueueWorker:
         max_tasks: int | None = None,
         chaos_scenario: str | None = None,
         chaos_seed: int | None = None,
+        *,
+        graph: TaskGraph | None = None,
+        cfg: WorkerConfig | None = None,
+        exp_fns: dict[str, Callable] | None = None,
     ) -> None:
         self.queue = WorkQueue(cache_root, run_id)
-        manifest = self.queue.read_manifest()
-        self.graph = TaskGraph.from_dict(manifest["graph"])
-        cfg_fields = dict(manifest["cfg"])
-        cfg_fields["apps"] = tuple(cfg_fields.get("apps", ()))
+        ttl = DEFAULT_LEASE_TTL_S
+        if graph is None or cfg is None:
+            manifest = self.queue.read_manifest()
+            graph = TaskGraph.from_dict(manifest["graph"])
+            cfg_fields = dict(manifest["cfg"])
+            cfg_fields["apps"] = tuple(cfg_fields.get("apps", ()))
+            cfg = WorkerConfig(**cfg_fields)
+            ttl = float(manifest.get("lease_ttl_s", DEFAULT_LEASE_TTL_S))
         if chaos_scenario is not None:
-            cfg_fields["chaos_scenario"] = chaos_scenario
+            cfg = replace(cfg, chaos_scenario=chaos_scenario)
         if chaos_seed is not None:
-            cfg_fields["chaos_seed"] = int(chaos_seed)
-        self.cfg = WorkerConfig(**cfg_fields)
+            cfg = replace(cfg, chaos_seed=int(chaos_seed))
+        self.graph = graph
+        self.cfg = cfg
+        self.exp_fns = dict(exp_fns or {})
+        #: claim order: a task's position in the graph (records first)
+        self._rank = {tid: i for i, tid in enumerate(graph.order)}
         self.worker_id = worker_id or (
             f"{socket.gethostname()}-{os.getpid()}")
         self.poll_s = float(poll_s)
-        ttl = float(manifest.get("lease_ttl_s", DEFAULT_LEASE_TTL_S))
         self.heartbeat_s = (float(heartbeat_s) if heartbeat_s is not None
                             else max(0.05, ttl / 4.0))
         self.max_tasks = max_tasks
@@ -374,9 +462,17 @@ class QueueWorker:
 
     # ------------------------------------------------------------------
     def claim_next(self) -> tuple[dict, dict] | None:
-        """Scan ready files in deterministic order and claim the first
-        available task; returns ``(entry, lease)`` or None."""
-        for entry in self.queue.ready_entries():
+        """Claim the first available ready task in graph order (record
+        tasks before the experiments that wait on them); returns
+        ``(entry, lease)`` or None. A ready file marked ``local`` names
+        an experiment callable only the coordinator's own workers hold,
+        so other agents pass it by."""
+        last = len(self._rank)
+        entries = sorted(self.queue.ready_entries(),
+                         key=lambda e: self._rank.get(e["task_id"], last))
+        for entry in entries:
+            if entry.get("local") and not self.exp_fns:
+                continue
             lease = self.queue.try_claim(entry, self.worker_id)
             if lease is not None:
                 return entry, lease
@@ -415,11 +511,9 @@ class QueueWorker:
                 raise QueueError(
                     f"queue advertised task {task_id!r} but the manifest "
                     f"graph has no such task")
-            if isinstance(task, RecordTask):
-                payload = run_record_task(task.spec, self.cfg, fence=token)
-            else:
-                payload = run_experiment_task(task.exp_id, None, self.cfg,
-                                              seed_offset, fence=token)
+            payload = task_process_main(
+                task_id, task, replace(self.cfg, fence=token), seed_offset,
+                self.exp_fns.get(getattr(task, "exp_id", "")))
             # the last line of defense: even a task that never touched
             # the cache must not publish a result for a revoked epoch
             token.check(f"result publish for task {task_id}")
@@ -481,33 +575,48 @@ class QueueWorker:
 
 
 def _local_worker_main(cache_root: str, run_id: str, worker_id: str,
-                       poll_s: float) -> None:
-    """Entry point of a coordinator-spawned local worker process."""
+                       poll_s: float, heartbeat_s: float, graph: TaskGraph,
+                       cfg: WorkerConfig, exp_fns: dict) -> None:
+    """Entry point of a coordinator-forked local worker: claim one task,
+    run it, publish its result, exit."""
     try:
-        # same rationale as the process transport's workers: the
-        # coordinator drains on SIGINT/SIGTERM; workers only stop when
-        # told (STOP file / terminate())
+        # workers ignore SIGINT: a terminal Ctrl-C reaches the whole
+        # process group, and the coordinator alone decides when a worker
+        # stops (its graceful drain, then terminate()); a forked worker
+        # inherits the coordinator's SIGTERM handler, so restore the
+        # default for terminate() to terminate
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except (ValueError, OSError):  # pragma: no cover — exotic platforms
         pass
     worker = QueueWorker(cache_root, run_id, worker_id=worker_id,
-                         poll_s=poll_s)
+                         poll_s=poll_s, heartbeat_s=heartbeat_s, max_tasks=1,
+                         graph=graph, cfg=cfg, exp_fns=exp_fns)
     sys.exit(worker.run())
+
+
+def _terminate(proc) -> None:
+    """Stop a local worker: SIGTERM, then SIGKILL if it lingers."""
+    if proc.is_alive():
+        proc.terminate()
+        proc.join(timeout=2.0)
+    if proc.is_alive():
+        proc.kill()
+        proc.join(timeout=2.0)
 
 
 # ----------------------------------------------------------------------
 class QueueCoordinator:
     """Drives one suite run over the filesystem queue.
 
-    Publishes the manifest and ready files, optionally spawns ``jobs``
-    local worker processes (any number of remote ``nvscavenger work``
-    agents may join too), collects epoch-validated results, revokes
-    stale leases (heartbeat older than ``lease_ttl_s``, dead local pid,
-    or past ``task_timeout_s``), and applies the same retry /
-    dependency-skip policy as the process transport. Produces the same
-    :class:`~repro.sched.scheduler.SchedulerOutcome` shape, so the
-    suite layer treats both transports identically.
+    Publishes the manifest and ready files, forks up to ``jobs`` local
+    one-task workers as tasks become claimable (``jobs=0``: remote
+    agents only), collects epoch-validated results, revokes stale leases
+    (heartbeat older than ``lease_ttl_s``, dead local pid, or past
+    ``task_timeout_s``), retries with a deterministic reseed, and skips
+    the dependents of a task out of retries. *exp_fns* maps the id of an
+    experiment that is not in the registry to its callable; only local
+    workers can run those.
     """
 
     def __init__(
@@ -531,13 +640,11 @@ class QueueCoordinator:
         seed_payloads=None,
         drain_grace_s: float = 10.0,
         handle_signals: bool = False,
-        start_method: str | None = None,
-        max_respawns: int = 64,
-        stall_timeout_s: float | None = 60.0,
+        exp_fns: dict[str, Callable] | None = None,
     ) -> None:
         if jobs < 0:
             raise SchedulerError(
-                f"queue transport needs jobs >= 0 (0 = no local workers, "
+                f"queue coordinator needs jobs >= 0 (0 = no local workers, "
                 f"remote agents only), got {jobs}")
         self.graph = graph
         self.cfg = cfg
@@ -561,27 +668,30 @@ class QueueCoordinator:
         }
         self.drain_grace_s = drain_grace_s
         self.handle_signals = handle_signals
-        self.start_method = start_method or default_start_method()
-        self.max_respawns = max_respawns
-        self.stall_timeout_s = stall_timeout_s
+        self.exp_fns = dict(exp_fns or {})
         self.host = socket.gethostname()
         self._signum: int | None = None
         self._force = False
         self._spawned = 0
+        #: live local workers by worker id
+        self._workers: dict[str, multiprocessing.Process] = {}
+        #: every worker id seen holding a lease or publishing a result
+        self._claimed: set[str] = set()
 
-    # -- signal plumbing (same contract as the process Scheduler) ------
+    # -- signal plumbing -------------------------------------------------
     def _on_signal(self, signum, frame) -> None:  # noqa: ARG002
         if self._signum is None:
             self._signum = signum
         else:
-            self._force = True
+            self._force = True  # second signal: skip the grace drain
 
     def _install_handlers(self) -> dict:
+        """Install the drain handlers; returns what to restore."""
         previous: dict = {}
         if not self.handle_signals:
             return previous
         if threading.current_thread() is not threading.main_thread():
-            return previous
+            return previous  # signal.signal only works on the main thread
         for sig in INTERRUPT_SIGNALS:
             try:
                 previous[sig] = signal.signal(sig, self._on_signal)
@@ -589,30 +699,63 @@ class QueueCoordinator:
                 pass
         return previous
 
-    # -- local worker pool ---------------------------------------------
-    def _spawn_worker(self, mp_ctx, procs: list) -> None:
-        self._spawned += 1
-        wid = f"local-{self.host}-{os.getpid()}-{self._spawned}"
-        proc = mp_ctx.Process(
-            target=_local_worker_main,
-            args=(self.queue.cache_root, self.run_id, wid,
-                  self.worker_poll_s),
-            daemon=True,
-        )
-        proc.start()
-        procs.append(proc)
-        if self.journal is not None:
-            self.journal.worker_joined(wid)
+    # -- local workers ---------------------------------------------------
+    def _fork_workers(self, mp_ctx, done: set, published: dict) -> None:
+        """Fork a one-task worker per unclaimed task that no idle worker
+        can take, keeping at most ``jobs`` alive."""
+        unclaimed = sum(1 for tid, pub in published.items()
+                        if tid not in done and not pub["granted"])
+        idle = sum(1 for wid in self._workers if wid not in self._claimed)
+        for _ in range(min(self.jobs - len(self._workers), unclaimed - idle)):
+            self._spawned += 1
+            wid = f"local-{self.host}-{os.getpid()}-{self._spawned}"
+            proc = mp_ctx.Process(
+                target=_local_worker_main,
+                args=(self.queue.cache_root, self.run_id, wid,
+                      self.worker_poll_s, self.heartbeat_s, self.graph,
+                      self.cfg, self.exp_fns),
+                daemon=True,
+            )
+            proc.start()
+            self._workers[wid] = proc
+            if self.journal is not None:
+                self.journal.worker_joined(wid)
 
-    def _maintain_pool(self, mp_ctx, procs: list) -> None:
-        alive = [p for p in procs if p.is_alive()]
-        dead = len(procs) - len(alive)
-        procs[:] = alive
-        if dead:
-            for _ in range(dead):
-                if (len(procs) < self.jobs
-                        and self._spawned < self.jobs + self.max_respawns):
-                    self._spawn_worker(mp_ctx, procs)
+    def _reap(self, exited: list, done: set, published: dict,
+              attempts: dict, outcome, log) -> None:
+        """Account for local workers that exited. *exited* is taken
+        before the round reads grants and results, so whatever a worker
+        published before exiting has been seen. A task it still held
+        failed its attempt (while draining, it is left pending for a
+        resume); a worker that never claimed a task failed at start-up,
+        which forking another would only repeat."""
+        for wid, proc in exited:
+            del self._workers[wid]
+            held = [tid for tid, pub in published.items()
+                    if tid not in done and pub["granted"]
+                    and pub["worker"] == wid]
+            for tid in held:
+                if self._signum is None:
+                    self._revoke(
+                        tid, f"worker died (exitcode {proc.exitcode}) "
+                             f"before reporting a result",
+                        done, published, attempts, outcome, log)
+                else:
+                    del published[tid]
+            if wid not in self._claimed and self._signum is None:
+                raise SchedulerError(
+                    f"local worker {wid} exited (exitcode {proc.exitcode}) "
+                    f"before claiming a task: it failed at start-up")
+
+    def _wait(self) -> None:
+        """Sleep one poll interval, waking as soon as a local worker
+        exits (its result is then collected and its dependents started
+        at once)."""
+        if self._workers:
+            wait_for_exits([p.sentinel for p in self._workers.values()],
+                           timeout=self.poll_s)
+        else:
+            time.sleep(self.poll_s)
 
     # -- publishing -----------------------------------------------------
     def _seed_offset(self, task_id: str, attempt: int) -> int:
@@ -623,12 +766,13 @@ class QueueCoordinator:
 
     def _publish(self, task_id: str, epoch: int, attempt: int,
                  published: dict) -> None:
+        exp_id = getattr(self.graph.tasks[task_id], "exp_id", None)
         self.queue.publish_ready(task_id, epoch, attempt,
-                                 self._seed_offset(task_id, attempt))
+                                 self._seed_offset(task_id, attempt),
+                                 local=exp_id in self.exp_fns)
         published[task_id] = {
             "epoch": epoch, "attempt": attempt, "granted": False,
-            "t_pub": time.monotonic(), "t_grant": None,
-            "worker": "", "pid": None, "host": "",
+            "t_grant": None, "worker": "", "pid": None, "host": "",
         }
 
     def _publish_ready(self, done: set, published: dict, attempts: dict,
@@ -640,77 +784,108 @@ class QueueCoordinator:
             epoch = max(read_fence(self.queue.fence_path(tid)), 1)
             self._publish(tid, epoch, attempts.get(tid, 0), published)
 
+    def _check_stall(self, done: set, published: dict) -> None:
+        """Pending tasks with nothing published, running or ready can
+        never finish: name what each one waits on instead of spinning."""
+        if self._signum is not None or any(tid not in done
+                                           for tid in published):
+            return
+        pending = [tid for tid in self.graph.order if tid not in done]
+        if pending:
+            waits = "; ".join(
+                f"{tid} waits on "
+                f"[{', '.join(self.graph.unmet_deps(tid, done))}]"
+                for tid in pending)
+            raise SchedulerError(
+                f"scheduler stalled with {len(pending)} pending task(s): "
+                f"{waits}")
+
+    def _retire_earlier_run(self) -> None:
+        """Make a run directory an earlier coordinator left behind safe
+        to run again (a resume): drop its STOP marker and ready files,
+        then move each unfinished task's fence past every epoch that run
+        used. The task is then published afresh at attempt 0, and a
+        worker still holding one of the earlier leases is fenced out."""
+        q = self.queue
+        if q.stopped():
+            os.unlink(q.stop_path)
+        for name in os.listdir(q.tasks_dir):
+            os.unlink(os.path.join(q.tasks_dir, name))
+        used = q.used_epochs()
+        for tid in self.graph.order:
+            if tid in self.seed_done:
+                continue
+            last = max(used.get(safe_task_id(tid), 0),
+                       read_fence(q.fence_path(tid)))
+            if last:
+                write_fence(q.fence_path(tid), last + 1, fs=q.fs)
+
     # -- grants ---------------------------------------------------------
+    def _grant(self, tid: str, pub: dict, rec: dict, log) -> None:
+        """*rec*'s worker holds *tid*: retire the ready file (released,
+        its epoch would be claimable again), then emit and journal the
+        start."""
+        pub.update(granted=True, t_grant=time.monotonic(),
+                   worker=str(rec.get("worker_id", "")),
+                   pid=rec.get("pid"), host=str(rec.get("host", "")))
+        self._claimed.add(pub["worker"])
+        self.queue.clear_ready(tid)
+        log.emit(TASK_STARTED, tid, attempt=pub["attempt"],
+                 pid=pub["pid"], detail=f"lease -> {pub['worker']}")
+        if self.journal is not None:
+            self.journal.lease_granted(tid, pub["worker"], pub["epoch"])
+            self.journal.task_started(tid, pub["attempt"])
+
     def _observe_grants(self, done: set, published: dict, log) -> None:
         for tid, pub in published.items():
             if tid in done or pub["granted"]:
                 continue
             rec = read_json_or_none(self.queue.lease_path(tid, pub["epoch"]))
-            if rec is None:
-                continue
-            pub.update(granted=True, t_grant=time.monotonic(),
-                       worker=str(rec.get("worker_id", "")),
-                       pid=rec.get("pid"), host=str(rec.get("host", "")))
-            self.queue.clear_ready(tid)
-            log.emit(TASK_STARTED, tid, attempt=pub["attempt"],
-                     pid=pub["pid"], detail=f"lease -> {pub['worker']}")
-            if self.journal is not None:
-                self.journal.lease_granted(tid, pub["worker"], pub["epoch"])
-                self.journal.task_started(tid, pub["attempt"])
+            if rec is not None:
+                self._grant(tid, pub, rec, log)
 
     # -- results --------------------------------------------------------
     def _collect(self, done: set, published: dict, attempts: dict,
-                 outcome, log) -> int:
-        handled = 0
+                 outcome, log) -> None:
         for tid, pub in list(published.items()):
             if tid in done:
                 continue
             rec = read_json_or_none(self.queue.result_path(tid, pub["epoch"]))
             if rec is None:
                 continue
-            handled += 1
-            if rec.get("status") == "ok":
-                try:
-                    payload = decode_payload(rec.get("payload", {}))
-                except Exception as exc:  # torn/garbled result: re-run
-                    self._attempt_failed(
-                        tid, f"undecodable result payload: {exc}",
-                        done, published, attempts, outcome, log)
-                    continue
-                if not pub["granted"]:
-                    # the worker claimed + finished between two polls;
-                    # retire the ready file _observe_grants never saw
-                    # (released, the epoch is claimable again: workers
-                    # would re-run it forever ahead of later tasks) and
-                    # backfill the start event so streams stay paired
-                    self.queue.clear_ready(tid)
-                    log.emit(TASK_STARTED, tid, attempt=pub["attempt"],
-                             detail=f"lease -> {rec.get('worker_id', '')}")
-                    if self.journal is not None:
-                        self.journal.lease_granted(
-                            tid, str(rec.get("worker_id", "")), pub["epoch"])
-                        self.journal.task_started(tid, pub["attempt"])
-                    pub["granted"] = True
-                done.add(tid)
-                outcome.payloads[tid] = payload
-                wall = float(rec.get("wall_s", 0.0))
-                log.emit(TASK_FINISHED, tid, attempt=pub["attempt"],
-                         pid=pub["pid"],
-                         wall_s=round(float(
-                             payload.get("wall_s", wall)
-                             if isinstance(payload, dict) else wall), 6),
-                         detail=(payload.get("error", "")
-                                 if isinstance(payload, dict) else ""))
-                if self.journal is not None:
-                    self.journal.task_finished(tid, pub["attempt"], payload)
-            else:
+            # the grant seen may have been a later claimant's lease that
+            # backed off from this finished epoch: credit the publisher
+            self._claimed.add(str(rec.get("worker_id", "")))
+            if not pub["granted"]:
+                # the worker claimed and finished between two polls
+                self._grant(tid, pub, rec, log)
+            if rec.get("status") != "ok":
                 info = rec.get("info") or {}
                 self._attempt_failed(
                     tid,
                     f"{info.get('error_type', 'Error')}: "
                     f"{info.get('message', '')}",
                     done, published, attempts, outcome, log)
-        return handled
+                continue
+            try:
+                payload = decode_payload(rec.get("payload", {}))
+            except Exception as exc:  # torn/garbled result: re-run
+                self._attempt_failed(
+                    tid, f"undecodable result payload: {exc}",
+                    done, published, attempts, outcome, log)
+                continue
+            done.add(tid)
+            outcome.payloads[tid] = payload
+            wall = float(rec.get("wall_s", 0.0))
+            log.emit(TASK_FINISHED, tid, attempt=pub["attempt"],
+                     pid=pub["pid"],
+                     wall_s=round(float(
+                         payload.get("wall_s", wall)
+                         if isinstance(payload, dict) else wall), 6),
+                     detail=(payload.get("error", "")
+                             if isinstance(payload, dict) else ""))
+            if self.journal is not None:
+                self.journal.task_finished(tid, pub["attempt"], payload)
 
     # -- revocation / retry ---------------------------------------------
     def _check_leases(self, done: set, published: dict, attempts: dict,
@@ -750,6 +925,9 @@ class QueueCoordinator:
     def _revoke(self, tid: str, reason: str, done: set, published: dict,
                 attempts: dict, outcome, log) -> None:
         pub = published[tid]
+        proc = self._workers.pop(pub["worker"], None)
+        if proc is not None:  # a local worker: stop it, freeing its slot
+            _terminate(proc)
         if self.journal is not None:
             self.journal.lease_revoked(tid, pub["worker"], pub["epoch"],
                                        reason)
@@ -788,53 +966,44 @@ class QueueCoordinator:
         skip_dependents(self.graph, tid, reason, done, outcome, log,
                         journal=self.journal)
 
-    # -- stall detection -------------------------------------------------
-    def _check_stall(self, done: set, published: dict, procs: list) -> None:
-        if self.jobs == 0 or self.stall_timeout_s is None:
-            return  # remote-only mode: waiting is the operator's choice
-        if procs:
-            return
-        if self._spawned < self.jobs + self.max_respawns:
-            return  # _maintain_pool will respawn
-        now = time.monotonic()
-        unclaimed = [
-            tid for tid, pub in published.items()
-            if tid not in done and not pub["granted"]
-            and now - pub["t_pub"] > self.stall_timeout_s
-        ]
-        if unclaimed:
-            raise SchedulerError(
-                f"queue stalled: every local worker is dead, the respawn "
-                f"budget ({self.max_respawns}) is exhausted, and "
-                f"{len(unclaimed)} published task(s) went unclaimed for "
-                f"{self.stall_timeout_s:.0f}s (first: {unclaimed[0]})")
-
-    # -- shutdown --------------------------------------------------------
-    def _shutdown_workers(self, procs: list) -> None:
-        self.queue.stop()
-        deadline = time.monotonic() + 2.0
-        for p in procs:
-            p.join(timeout=max(0.0, deadline - time.monotonic()))
-        for p in procs:
-            if p.is_alive():
-                p.terminate()
-        for p in procs:
-            p.join(timeout=2.0)
-            if p.is_alive():
-                p.kill()
-                p.join(timeout=2.0)
+    # -- one round, drain, shutdown ----------------------------------------
+    def _settle(self, done: set, published: dict, attempts: dict, outcome,
+                log) -> None:
+        """Take in everything workers did since the last round: grants,
+        results, exited local workers, lapsed leases."""
+        exited = [(wid, p) for wid, p in self._workers.items()
+                  if not p.is_alive()]
+        self._observe_grants(done, published, log)
+        self._collect(done, published, attempts, outcome, log)
+        self._reap(exited, done, published, attempts, outcome, log)
+        self._check_leases(done, published, attempts, outcome, log)
 
     def _drain_on_interrupt(self, done, published, attempts, outcome,
                             log) -> None:
+        """Stop claims (STOP), give tasks in flight ``drain_grace_s`` to
+        finish — their results are collected and journaled normally —
+        and leave the rest pending for a resume. A second signal cuts
+        the grace short."""
+        self.queue.stop()
         deadline = time.monotonic() + max(0.0, self.drain_grace_s)
-        while (not self._force and time.monotonic() < deadline
-               and any(tid not in done and pub["granted"]
-                       for tid, pub in published.items())):
-            self._collect(done, published, attempts, outcome, log)
-            time.sleep(self.poll_s)
-        self._collect(done, published, attempts, outcome, log)
+        while True:
+            self._settle(done, published, attempts, outcome, log)
+            if (self._force or time.monotonic() >= deadline
+                    or not any(tid not in done and pub["granted"]
+                               for tid, pub in published.items())):
+                break
+            self._wait()
         if self.journal is not None:
             self.journal.run_interrupted(int(self._signum or 0))
+
+    def _shutdown_workers(self) -> None:
+        self.queue.stop()
+        deadline = time.monotonic() + 2.0
+        for p in self._workers.values():
+            p.join(timeout=max(0.0, deadline - time.monotonic()))
+        for p in self._workers.values():
+            _terminate(p)
+        self._workers.clear()
 
     # ------------------------------------------------------------------
     def publish(self) -> None:
@@ -854,31 +1023,25 @@ class QueueCoordinator:
 
     def run(self) -> SchedulerOutcome:
         self.publish()
-        mp_ctx = multiprocessing.get_context(self.start_method)
+        self._retire_earlier_run()
+        mp_ctx = multiprocessing.get_context(default_start_method())
         log = EventLog(self.on_event)
         outcome = SchedulerOutcome()
         outcome.payloads.update(self.seed_payloads)
         done: set[str] = set(self.seed_done)
         published: dict[str, dict] = {}
         attempts: dict[str, int] = {}
-        procs: list = []
         t_start = time.monotonic()
         previous_handlers = self._install_handlers()
         try:
-            for _ in range(self.jobs):
-                self._spawn_worker(mp_ctx, procs)
-            while len(done) < len(self.graph):
-                if self._signum is not None:
+            while self._signum is None:
+                self._settle(done, published, attempts, outcome, log)
+                if len(done) == len(self.graph) or self._signum is not None:
                     break
                 self._publish_ready(done, published, attempts, outcome, log)
-                self._observe_grants(done, published, log)
-                handled = self._collect(done, published, attempts, outcome,
-                                        log)
-                self._check_leases(done, published, attempts, outcome, log)
-                self._maintain_pool(mp_ctx, procs)
-                self._check_stall(done, published, procs)
-                if not handled:
-                    time.sleep(self.poll_s)
+                self._check_stall(done, published)
+                self._fork_workers(mp_ctx, done, published)
+                self._wait()
             if self._signum is not None:
                 self._drain_on_interrupt(done, published, attempts,
                                          outcome, log)
@@ -888,7 +1051,7 @@ class QueueCoordinator:
                     signal.signal(sig, handler)
                 except (ValueError, OSError):  # pragma: no cover
                     pass
-            self._shutdown_workers(procs)
+            self._shutdown_workers()
         outcome.report = SchedulerReport(
             jobs=self.jobs,
             wall_s=time.monotonic() - t_start,

@@ -1,16 +1,19 @@
-"""Suite-level entry point: run the experiment suite on a worker pool.
+"""Suite-level entry point: run the experiment suite over the work queue.
 
 :func:`run_suite_parallel` is what :func:`repro.experiments.runner.
-run_all` delegates to for ``jobs > 1``. It expands the suite into a
-:class:`~repro.sched.graph.TaskGraph` (record tasks feeding experiment
-tasks), runs it on a :class:`~repro.sched.scheduler.Scheduler`, folds
-every worker's engine-stage deltas back into the parent context's
-:class:`~repro.engine.engine.EngineStats` (in deterministic graph
-order), and returns results in the suite's canonical experiment order —
-so the output is bit-identical to a sequential run regardless of
-``jobs`` or scheduling interleavings.
+run_all` delegates to for ``jobs > 1`` (or any ``run_id`` / ``resume``).
+It expands the suite into a :class:`~repro.sched.graph.TaskGraph`
+(record tasks feeding experiment tasks), runs it on a
+:class:`~repro.sched.queue.QueueCoordinator` with up to ``jobs`` local
+one-task worker processes, folds every worker's engine-stage deltas
+back into the parent context's :class:`~repro.engine.engine.EngineStats`
+(in deterministic graph order), and returns results in the suite's
+canonical experiment order — so the output is bit-identical to a
+sequential run regardless of ``jobs`` or scheduling interleavings. Any
+such run can also be joined by ``nvscavenger work --run-id`` agents on
+other hosts sharing the cache.
 
-Every parallel run is **journaled and resumable** by default: task
+Every scheduled run is **journaled and resumable** by default: task
 transitions and completed payloads land in an fsync'd write-ahead log
 under ``<cache-root>/runs/<run-id>/journal.jsonl`` (see
 :mod:`repro.sched.journal`). ``resume="<run-id>"`` replays that journal
@@ -45,18 +48,12 @@ from repro.sched.journal import (
     replay_state,
 )
 from repro.sched.queue import DEFAULT_LEASE_TTL_S, QueueCoordinator
-from repro.sched.scheduler import Scheduler
 from repro.sched.workers import WorkerConfig
 
 #: ``jobs`` sentinel: size the pool from journaled run history
 #: (:func:`repro.sched.adaptive.adaptive_jobs`) instead of a fixed
 #: count or the cpu heuristic.
 JOBS_ADAPTIVE = "adaptive"
-
-#: Suite transports: ``process`` = local multiprocessing pool (the
-#: default), ``queue`` = filesystem work queue any host sharing the
-#: cache can join (:mod:`repro.sched.queue`).
-TRANSPORTS = ("process", "queue")
 
 
 def resolve_jobs(jobs: int, ready_width: int | None = None) -> int:
@@ -164,56 +161,53 @@ def run_suite_parallel(
     strict: bool = False,
     on_event: Callable[[SchedEvent], None] | None = None,
     task_timeout_s: float | None = None,
-    start_method: str | None = None,
     run_id: str | None = None,
     resume: str | None = None,
     journal: bool = True,
     drain_grace_s: float = 10.0,
     handle_signals: bool = True,
-    transport: str = "process",
     lease_ttl_s: float | None = None,
     heartbeat_s: float | None = None,
 ) -> tuple[list, SchedulerReport]:
-    """Run *exps* against *ctx* on ``jobs`` worker processes.
+    """Run *exps* against *ctx* on up to ``jobs`` worker processes.
 
     Returns ``(results, report)``: *results* in the canonical
     ``exps.items()`` order (each an ``ExperimentResult`` or
-    :class:`ExperimentFailure`), *report* the scheduler's structured
+    :class:`ExperimentFailure`), *report* the coordinator's structured
     account of the run. The parent context's engine stats absorb every
     worker's stage deltas, so ``ctx.engine.stats.table()`` reads the
     same as after a sequential run.
 
-    ``run_id`` names this run's journal under the artifact-cache root
-    (default: a fresh timestamped id); ``resume`` replays a previous
-    run's journal instead — finished tasks are seeded as done (their
-    journaled payloads are returned verbatim), failed and skipped tasks
-    get a fresh chance, and the graph fingerprint must match or
-    :class:`~repro.errors.JournalError` refuses the resume.
-    ``journal=False`` disables the write-ahead log entirely (the run is
-    then not resumable). ``handle_signals`` (default on, main thread
-    only) arms the graceful SIGINT/SIGTERM drain: in-flight workers get
-    ``drain_grace_s`` seconds to finish and journal, then the run
-    raises :class:`~repro.errors.SuiteInterrupted` whose ``exit_code``
-    is ``128 + signum``.
+    The run publishes its tasks to the filesystem work queue under
+    ``<cache-root>/runs/<run-id>/queue/`` (:mod:`repro.sched.queue`);
+    the coordinator forks one local worker per claimable task, at most
+    ``jobs`` at a time, and ``nvscavenger work`` agents on other hosts
+    may join. Registry experiments cross hosts by id; other callables
+    reach only the local workers (inherited at fork, pickled under
+    spawn). ``lease_ttl_s`` / ``heartbeat_s`` tune crash detection.
 
-    ``jobs="adaptive"`` sizes the pool from journaled run history
-    (:func:`repro.sched.adaptive.adaptive_jobs`): the size with the
-    best observed speedup wins, and a machine where parallelism never
-    paid degrades to sequential. ``transport="queue"`` runs the graph
-    over the filesystem work queue (:mod:`repro.sched.queue`) instead
-    of a local pool — ``jobs`` local worker processes are spawned, and
-    any number of ``nvscavenger work`` agents on other hosts may join
-    the run; ``lease_ttl_s`` / ``heartbeat_s`` tune crash detection.
-    The queue transport requires every experiment to come from the
-    registry (callables cannot cross hosts).
+    ``run_id`` names this run's journal and queue under the
+    artifact-cache root (default: a fresh timestamped id); ``resume``
+    replays a previous run's journal instead — finished tasks are
+    seeded as done (their journaled payloads are returned verbatim),
+    failed and skipped tasks get a fresh chance, and the graph
+    fingerprint must match or :class:`~repro.errors.JournalError`
+    refuses the resume. ``journal=False`` disables the write-ahead log
+    entirely (the run is then not resumable). ``handle_signals``
+    (default on, main thread only) arms the graceful SIGINT/SIGTERM
+    drain: tasks in flight get ``drain_grace_s`` seconds to finish and
+    journal, then the run raises :class:`~repro.errors.SuiteInterrupted`
+    whose ``exit_code`` is ``128 + signum``.
+
+    ``jobs=0`` means one worker per CPU, clamped to the graph's useful
+    width; ``jobs="adaptive"`` sizes the pool from journaled run
+    history (:func:`repro.sched.adaptive.adaptive_jobs`): the size with
+    the best observed speedup wins, and a machine where parallelism
+    never paid degrades to sequential.
     """
     from repro.experiments.runner import EXPERIMENTS
 
     graph = build_suite_graph(ctx, exps)
-    if transport not in TRANSPORTS:
-        raise ConfigurationError(
-            f"unknown suite transport {transport!r}; expected one of "
-            f"{', '.join(TRANSPORTS)}")
     adaptive_reason = ""
     if isinstance(jobs, str):
         if jobs != JOBS_ADAPTIVE:
@@ -236,19 +230,10 @@ def run_suite_parallel(
         retries=retries,
         budget_s=budget_s,
     )
-    # Registry experiments cross the process boundary as ids (spawn-safe);
-    # only non-registry callables are shipped directly (fork handles them).
-    exp_fns = {
-        exp_id: (None if EXPERIMENTS.get(exp_id) is fn else fn)
-        for exp_id, fn in exps.items()
-    }
-    if transport == "queue":
-        shipped = sorted(e for e, fn in exp_fns.items() if fn is not None)
-        if shipped:
-            raise ConfigurationError(
-                f"transport='queue' requires registry experiments (ids "
-                f"resolve on any host); cannot ship callables for: "
-                f"{', '.join(shipped)}")
+    # registry experiments cross the process boundary as ids; only the
+    # other callables are handed to the local workers
+    exp_fns = {exp_id: fn for exp_id, fn in exps.items()
+               if EXPERIMENTS.get(exp_id) is not fn}
     if task_timeout_s is None and budget_s is not None:
         # the in-worker HardenedRunner gets retries+1 attempts plus one
         # degraded rerun, each nominally within budget_s; pad for startup
@@ -265,9 +250,9 @@ def run_suite_parallel(
         rstate = _load_resume_state(cache_root, resume, graph)
         seed_done = rstate.done
         seed_payloads = rstate.payloads
-    if run_id is None and (journal or transport == "queue"):
-        # the queue transport needs a run id even without a journal:
-        # it names the on-disk queue directory workers rendezvous at
+    if run_id is None:
+        # names the queue directory workers rendezvous at, even when
+        # the run is not journaled
         run_id = new_run_id(seed=ctx.seed)
     jnl: RunJournal | None = None
     if journal:
@@ -281,45 +266,28 @@ def run_suite_parallel(
                        seed=ctx.seed, apps=list(ctx.apps),
                        refs_per_iteration=ctx.refs_per_iteration,
                        scale=ctx.scale, n_iterations=ctx.n_iterations,
-                       transport=transport,
                        adaptive=adaptive_reason)
 
     try:
-        if transport == "queue":
-            outcome = QueueCoordinator(
-                graph,
-                cfg,
-                cache_root=cache_root,
-                run_id=run_id,
-                jobs=jobs,
-                reseed_stride=cfg.reseed_stride,
-                lease_ttl_s=(lease_ttl_s if lease_ttl_s is not None
-                             else DEFAULT_LEASE_TTL_S),
-                heartbeat_s=heartbeat_s,
-                task_timeout_s=task_timeout_s,
-                on_event=on_event,
-                journal=jnl,
-                seed_done=seed_done,
-                seed_payloads=seed_payloads,
-                drain_grace_s=drain_grace_s,
-                handle_signals=handle_signals,
-                start_method=start_method,
-            ).run()
-        else:
-            outcome = Scheduler(
-                graph,
-                cfg,
-                jobs=jobs,
-                exp_fns=exp_fns,
-                task_timeout_s=task_timeout_s,
-                start_method=start_method,
-                on_event=on_event,
-                journal=jnl,
-                seed_done=seed_done,
-                seed_payloads=seed_payloads,
-                drain_grace_s=drain_grace_s,
-                handle_signals=handle_signals,
-            ).run()
+        outcome = QueueCoordinator(
+            graph,
+            cfg,
+            cache_root=cache_root,
+            run_id=run_id,
+            jobs=jobs,
+            reseed_stride=cfg.reseed_stride,
+            lease_ttl_s=(lease_ttl_s if lease_ttl_s is not None
+                         else DEFAULT_LEASE_TTL_S),
+            heartbeat_s=heartbeat_s,
+            task_timeout_s=task_timeout_s,
+            on_event=on_event,
+            journal=jnl,
+            seed_done=seed_done,
+            seed_payloads=seed_payloads,
+            drain_grace_s=drain_grace_s,
+            handle_signals=handle_signals,
+            exp_fns=exp_fns,
+        ).run()
     except BaseException:
         if jnl is not None:
             jnl.close()
@@ -344,7 +312,7 @@ def run_suite_parallel(
         signum = int(report.signum or 0)
         n_done = sum(1 for t in graph.experiment_tasks
                      if t.task_id in outcome.payloads)
-        hint = (f"; resume with --resume {run_id}" if run_id else "")
+        hint = f"; resume with --resume {run_id}" if jnl is not None else ""
         raise SuiteInterrupted(
             f"suite interrupted by signal {signum} after "
             f"{n_done}/{len(graph.experiment_tasks)} experiment(s){hint}",
@@ -354,8 +322,7 @@ def run_suite_parallel(
         # jobs/wall_s feed the adaptive pool sizer's history model
         jnl.run_finished(n_failed=report.n_failed,
                          n_skipped=report.n_skipped,
-                         jobs=jobs, wall_s=round(report.wall_s, 6),
-                         transport=transport)
+                         jobs=jobs, wall_s=round(report.wall_s, 6))
         jnl.close()
 
     results: list = []

@@ -1,10 +1,10 @@
-"""Worker-side task execution for the suite scheduler.
+"""Worker-side task execution for the suite's work queue.
 
 Everything here is **spawn-safe**: the entry points are module-level
 functions, and every argument crossing the process boundary is picklable
 (the :class:`WorkerConfig` dataclass, run specs, experiment ids). Under
 the default ``fork`` start method on POSIX nothing needs pickling at
-spawn time, but the same code runs unchanged under ``spawn``
+process start, but the same code runs unchanged under ``spawn``
 (macOS/Windows defaults) — experiment callables are resolved from the
 :data:`repro.experiments.runner.EXPERIMENTS` registry by id whenever
 possible so the callable itself never has to cross the boundary.
@@ -18,20 +18,34 @@ worker losing the record race simply replays the winner's artifact.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-import signal
 import time
-import traceback
 from dataclasses import dataclass
 from typing import Callable
 
 from repro.engine import PipelineEngine
+from repro.engine.locks import FencingToken
 from repro.engine.spec import RunSpec
 from repro.resilience.harness import (
     ExperimentBudget,
     HardenedRunner,
     RetryPolicy,
 )
+from repro.sched.graph import RecordTask, Task
+
+#: Environment override for the multiprocessing start method.
+START_METHOD_ENV = "REPRO_SCHED_START"
+
+
+def default_start_method() -> str:
+    """``fork`` where available (fast, pickles nothing at process start),
+    else the platform default; override with ``REPRO_SCHED_START``."""
+    env = os.environ.get(START_METHOD_ENV)
+    if env:
+        return env
+    methods = multiprocessing.get_all_start_methods()
+    return "fork" if "fork" in methods else multiprocessing.get_start_method()
 
 
 @dataclass(frozen=True)
@@ -54,21 +68,24 @@ class WorkerConfig:
     #: chaos tests; None = plain OsFS)
     chaos_scenario: str | None = None
     chaos_seed: int = 0
+    #: the claimed lease's fencing token, validated on every lock
+    #: acquisition and artifact commit (set per task by the queue
+    #: worker; None in the published manifest)
+    fence: FencingToken | None = None
 
 
-def _apply_cache_hooks(cache, cfg: WorkerConfig, fence=None) -> None:
+def _apply_cache_hooks(cache, cfg: WorkerConfig) -> None:
     """Install the per-worker cache extras a task may carry: a ChaosFS
-    fault scenario (soak/chaos runs) and a queue lease's fencing token
-    (validated on every lock acquisition and artifact commit)."""
+    fault scenario (soak/chaos runs) and a queue lease's fencing token."""
     if getattr(cfg, "chaos_scenario", None):
         from repro.engine.chaos import ChaosFS
 
         cache.fs = ChaosFS(scenario=cfg.chaos_scenario, seed=cfg.chaos_seed)
-    if fence is not None:
-        cache.fence = fence
+    if cfg.fence is not None:
+        cache.fence = cfg.fence
 
 
-def _worker_context(cfg: WorkerConfig, seed_offset: int = 0, fence=None):
+def _worker_context(cfg: WorkerConfig, seed_offset: int = 0):
     from repro.experiments.common import ExperimentContext
 
     ctx = ExperimentContext(
@@ -80,11 +97,11 @@ def _worker_context(cfg: WorkerConfig, seed_offset: int = 0, fence=None):
         cache_dir=cfg.cache_root,
         self_heal=cfg.self_heal,
     )
-    _apply_cache_hooks(ctx.engine.cache, cfg, fence)
+    _apply_cache_hooks(ctx.engine.cache, cfg)
     return ctx
 
 
-def run_record_task(spec: RunSpec, cfg: WorkerConfig, fence=None) -> dict:
+def run_record_task(spec: RunSpec, cfg: WorkerConfig) -> dict:
     """Record *spec* into the shared cache (idempotent: a loser of the
     cross-process race gets the winner's artifact as a cache hit).
 
@@ -94,7 +111,7 @@ def run_record_task(spec: RunSpec, cfg: WorkerConfig, fence=None) -> dict:
     needs the artifact will surface it under harness isolation.
     """
     engine = PipelineEngine(root=cfg.cache_root, self_heal=cfg.self_heal)
-    _apply_cache_hooks(engine.cache, cfg, fence)
+    _apply_cache_hooks(engine.cache, cfg)
     before = engine.stats.snapshot()
     t0 = time.perf_counter()
     error = ""
@@ -120,13 +137,12 @@ def run_experiment_task(
     fn: Callable | None,
     cfg: WorkerConfig,
     seed_offset: int = 0,
-    fence=None,
 ) -> dict:
     """Run one experiment in a fresh context against the shared cache.
 
     ``fn=None`` resolves the callable from the experiment registry by id
     (the spawn-safe path). ``seed_offset`` is non-zero only when the
-    scheduler re-runs the task after a worker crash/timeout — the same
+    coordinator re-runs the task after a worker crash/timeout — the same
     deterministic reseed :class:`HardenedRunner` applies to in-process
     retries, so a re-scheduled experiment is reproducible, never random.
     """
@@ -134,7 +150,7 @@ def run_experiment_task(
         from repro.experiments.runner import EXPERIMENTS
 
         fn = EXPERIMENTS[exp_id]
-    ctx = _worker_context(cfg, seed_offset, fence)
+    ctx = _worker_context(cfg, seed_offset)
     runner = HardenedRunner(
         retry=RetryPolicy(retries=cfg.retries, reseed_stride=cfg.reseed_stride),
         budget=(ExperimentBudget(wall_s=cfg.budget_s)
@@ -151,47 +167,17 @@ def run_experiment_task(
     }
 
 
-def task_process_main(task_id: str, kind: str, args: tuple,
-                      seed_offset: int, cfg: WorkerConfig, result_q,
-                      attempt: int = 0) -> None:
-    """Entry point of one worker process: run the task, queue the result.
+def task_process_main(task_id: str, task: Task, cfg: WorkerConfig,
+                      seed_offset: int = 0, fn: Callable | None = None) -> dict:
+    """Run one claimed task in this process and return its payload.
 
-    A normally-exiting worker always enqueues exactly one message —
-    ``(task_id, attempt, "ok", payload)`` or
-    ``(task_id, attempt, "error", info)``; the attempt number lets the
-    parent discard late messages from a superseded attempt. A worker
-    that dies without enqueuing (SIGKILL, segfault, machine check) is
-    detected by the parent through process liveness and handled as a
-    crash.
-
-    Workers ignore SIGINT: a terminal Ctrl-C delivers SIGINT to the
-    whole foreground process group, and if workers died on it the
-    parent's graceful drain would have nothing left to drain. The
-    parent alone decides when a worker stops (SIGTERM via
-    ``terminate()``, then SIGKILL), so an interrupted suite journals
-    every result that was about to land instead of losing all of them.
+    Every task a queue worker claims — in a coordinator-forked local
+    worker or in an ``nvscavenger work`` agent — runs through here.
+    *task_id* comes first so a tracer wrapping this function can tag the
+    worker's spans with it. Record tasks never reseed (the spec *is*
+    the cache key); *fn* is an experiment callable the coordinator
+    handed its local workers, or None to resolve it from the registry.
     """
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        # a forked worker inherits the parent's drain handler for
-        # SIGTERM; restore the default so the parent's terminate()
-        # actually terminates instead of setting a flag in the child
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    except (ValueError, OSError):  # pragma: no cover — exotic platforms
-        pass
-    try:
-        if kind == "record":
-            (spec,) = args
-            payload = run_record_task(spec, cfg)
-        else:
-            exp_id, fn = args
-            payload = run_experiment_task(exp_id, fn, cfg, seed_offset)
-        result_q.put((task_id, attempt, "ok", payload))
-    except BaseException as exc:  # noqa: BLE001 — report, then exit clean
-        tb = traceback.format_exc().strip().splitlines()
-        result_q.put((task_id, attempt, "error", {
-            "error_type": type(exc).__name__,
-            "message": str(exc),
-            "traceback_tail": "\n".join(tb[-3:]),
-            "pid": os.getpid(),
-        }))
+    if isinstance(task, RecordTask):
+        return run_record_task(task.spec, cfg)
+    return run_experiment_task(task.exp_id, fn, cfg, seed_offset)

@@ -151,7 +151,7 @@ def run_record_worker(
     if mp_context is None:
         import multiprocessing
 
-        from repro.sched.scheduler import default_start_method
+        from repro.sched.workers import default_start_method
 
         mp_context = multiprocessing.get_context(default_start_method())
     attempt = 0

@@ -106,7 +106,7 @@ class TestParallelIdentity:
         cold, _, _ = sweep
         ctx = make_ctx(tmp_path)
         results = run_all(ctx, experiments={"policy_zoo": policy_zoo.run},
-                          jobs=2, transport="queue")
+                          jobs=2)
         (res,) = results
         assert isinstance(res, ExperimentResult)
         assert res.rows == cold.rows

@@ -39,27 +39,33 @@ from repro.engine.artifacts import (
 from repro.engine.locks import FencingToken, KeyLock, read_fence, write_fence
 from repro.engine.spec import RunSpec
 from repro.errors import FencedOutError, QueueError
+from repro.experiments.common import ExperimentResult
 from repro.experiments.runner import EXPERIMENTS, run_all
 from repro.sched.adaptive import adaptive_jobs, run_history
-from repro.sched.events import EventLog
+from repro.sched.events import TASK_RETRIED, TASK_STARTED, EventLog
 from repro.sched.graph import (
     EXPERIMENT_PREFIX,
     ExperimentTask,
     RecordTask,
     TaskGraph,
 )
-from repro.sched.journal import RunJournal
+from repro.sched.journal import (
+    RunJournal,
+    journal_path,
+    read_journal,
+    replay_state,
+)
 from repro.sched.queue import (
     EXIT_FENCED,
     QueueCoordinator,
     QueueWorker,
+    SchedulerOutcome,
     WorkQueue,
     safe_task_id,
 )
-from repro.sched.scheduler import SchedulerOutcome
 from repro.sched.suite import run_suite_parallel
 from repro.sched.workers import WorkerConfig
-from tests.test_sched import FAST, make_ctx
+from tests.test_sched import FAST, make_ctx, run_bounded
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -166,6 +172,20 @@ class TestWorkQueueClaims:
         assert q.try_claim(entry, "w1") is None
         assert not os.path.exists(q.lease_path("record:cam", 1))
 
+    def test_finished_epoch_is_not_claimed_again(self, tmp_path):
+        # the holder published its result and released the lease before
+        # the coordinator retired the ready file: a second worker's
+        # O_EXCL create succeeds, but it must back off, not re-run
+        q = _queue(tmp_path)
+        q.publish_ready("record:cam", epoch=1, attempt=0, seed_offset=0)
+        (entry,) = q.ready_entries()
+        lease = q.try_claim(entry, "w1")
+        q.write_result("record:cam", 1, {"task_id": "record:cam",
+                                         "status": "ok"})
+        q.release(lease)
+        assert q.try_claim(entry, "w2") is None
+        assert not os.path.exists(q.lease_path("record:cam", 1))
+
     def test_release_and_heartbeat_touch_only_own_epoch(self, tmp_path):
         q = _queue(tmp_path)
         q.publish_ready("record:cam", epoch=1, attempt=0, seed_offset=0)
@@ -187,6 +207,47 @@ class TestWorkQueueClaims:
             fh.write("{torn")
         ids = [e["task_id"] for e in q.ready_entries()]
         assert sorted(ids) == ids == ["record:a", "record:b"]
+
+    def test_claims_follow_graph_order(self, tmp_path):
+        # every exp_* ready file sorts before every record_* one; a
+        # worker must still take the record the experiment waits on
+        ctx = make_ctx(tmp_path)
+        graph = TaskGraph([
+            RecordTask(task_id="record:gtc", name="gtc",
+                       spec=ctx.spec_for("gtc")),
+            ExperimentTask(task_id="exp:table1", exp_id="table1"),
+        ])
+        cfg = WorkerConfig(cache_root=ctx.engine.cache.root, seed=0,
+                           apps=("gtc",), **FAST)
+        coord = QueueCoordinator(graph, cfg, cache_root=cfg.cache_root,
+                                 run_id="order", jobs=0)
+        coord.publish()
+        for tid in ("exp:table1", "record:gtc"):
+            coord.queue.publish_ready(tid, epoch=1, attempt=0, seed_offset=0)
+        worker = QueueWorker(cfg.cache_root, "order", worker_id="w1")
+        entry, _lease = worker.claim_next()
+        assert entry["task_id"] == "record:gtc"
+
+    def test_local_ready_files_are_left_to_local_workers(self, tmp_path):
+        # a callable outside the registry cannot cross hosts: the
+        # coordinator marks its ready file, and only a worker holding
+        # the callable claims it
+        cache_root = str(tmp_path / "cache")
+        graph = TaskGraph([ExperimentTask(task_id="exp:probe",
+                                          exp_id="probe")])
+        cfg = WorkerConfig(cache_root=cache_root, seed=0, apps=("gtc",),
+                           **FAST)
+        fns = {"probe": _seed_probe}
+        coord = QueueCoordinator(graph, cfg, cache_root=cache_root,
+                                 run_id="local", jobs=0, exp_fns=fns)
+        coord.publish()
+        coord._publish_ready(set(), {}, {}, SchedulerOutcome(), EventLog())
+        agent = QueueWorker(cache_root, "local", worker_id="agent")
+        assert agent.claim_next() is None
+        local = QueueWorker(cache_root, "local", worker_id="local",
+                            graph=graph, cfg=cfg, exp_fns=fns)
+        entry, _lease = local.claim_next()
+        assert entry["task_id"] == "exp:probe" and entry["local"]
 
     def test_read_manifest_errors(self, tmp_path):
         q = WorkQueue(str(tmp_path / "cache"), "nope")
@@ -401,7 +462,7 @@ class TestQueueTransportEndToEnd:
 
         ctx = make_ctx(tmp_path / "queue")
         results, report = run_suite_parallel(
-            ctx, exps, jobs=2, transport="queue", lease_ttl_s=10.0,
+            ctx, exps, jobs=2, lease_ttl_s=10.0,
             handle_signals=False)
         assert report.n_failed == 0 and report.n_skipped == 0
         assert report.run_id
@@ -452,6 +513,72 @@ class TestQueueTransportEndToEnd:
         assert outcome.failures["exp:boom"]["attempts"] == 2
         assert set(outcome.skipped) == {"exp:child"}
         assert outcome.report.n_retries == 1
+
+
+# ----------------------------------------------------------------------
+def _seed_probe(ctx):
+    return ExperimentResult(exp_id="probe", title="seed probe",
+                            text=f"s@{ctx.seed}")
+
+
+class TestQueueResume:
+    def test_interrupted_task_resumes_at_attempt_zero(self, tmp_path,
+                                                       monkeypatch):
+        # fork workers inherit the patched registry
+        monkeypatch.setitem(EXPERIMENTS, "probe", _seed_probe)
+        cache_root = str(tmp_path / "cache")
+        os.makedirs(cache_root)
+        graph = TaskGraph([
+            ExperimentTask(task_id="exp:first", exp_id="probe"),
+            ExperimentTask(task_id="exp:probe", exp_id="probe"),
+        ])
+        cfg = WorkerConfig(cache_root=cache_root, seed=0, apps=("gtc",),
+                           **FAST)
+
+        def coordinator(run_id, **kw):
+            return QueueCoordinator(
+                graph, cfg, cache_root=cache_root, run_id=run_id, jobs=1,
+                lease_ttl_s=10.0, poll_s=0.02, worker_poll_s=0.02, **kw)
+
+        fresh = run_bounded(coordinator("fresh").run, 60.0)
+        want = fresh.payloads["exp:probe"]["result"]
+
+        # what an interrupted run leaves behind: exp:first journaled as
+        # finished, exp:probe's worker dead with its epoch-1 lease
+        # unreleased, and the STOP marker of the drain
+        with RunJournal.open(cache_root, "cut") as jnl:
+            jnl.append("run_started", run_id="cut",
+                       fingerprint=graph.fingerprint(), jobs=1)
+            jnl.task_started("exp:first", 0)
+            jnl.task_finished("exp:first", 0, fresh.payloads["exp:first"])
+            jnl.task_started("exp:probe", 0)
+            jnl.run_interrupted(int(signal.SIGTERM))
+        cut = coordinator("cut")
+        cut.publish()
+        queue = cut.queue
+        queue.publish_ready("exp:probe", epoch=1, attempt=0, seed_offset=0)
+        (entry,) = queue.ready_entries()
+        lease = queue.try_claim(entry, "w-gone")
+        gone = multiprocessing.get_context("fork").Process(
+            target=os._exit, args=(0,))
+        gone.start()
+        gone.join()
+        queue.heartbeat(dict(lease, pid=gone.pid))
+        queue.clear_ready("exp:probe")
+        queue.stop()
+
+        state = replay_state(
+            read_journal(journal_path(cache_root, "cut")), "cut")
+        assert state.done == {"exp:first"}
+        events = []
+        outcome = run_bounded(coordinator(
+            "cut", seed_done=state.done, seed_payloads=state.payloads,
+            on_event=events.append).run, 30.0)
+        assert [ev for ev in events if ev.kind == TASK_RETRIED] == []
+        assert [ev.task_id for ev in events
+                if ev.kind == TASK_STARTED] == ["exp:probe"]
+        got = outcome.payloads["exp:probe"]["result"]
+        assert got.text == want.text == "s@0"
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 import time
 
 import pytest
@@ -51,6 +52,28 @@ FAST = dict(refs_per_iteration=3_000, scale=1.0 / 256.0, n_iterations=3)
 def make_ctx(tmp_path, **kw):
     merged = {**FAST, **kw}
     return ExperimentContext(cache_dir=str(tmp_path / "cache"), **merged)
+
+
+def run_bounded(fn, timeout_s: float):
+    """``fn()``, failing the test if it is still running after
+    *timeout_s* (a hung executor must fail the test, not hang the whole
+    run, and pytest-timeout is not installed everywhere)."""
+    box: dict = {}
+
+    def target():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:  # noqa: BLE001 — re-raised below
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout_s)
+    if thread.is_alive():
+        pytest.fail(f"still running after {timeout_s:.0f}s")
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
 
 
 # ----------------------------------------------------------------------
@@ -179,6 +202,17 @@ class TestParallelSuite:
         kinds = [ev.kind for ev in events]
         assert kinds.count(TASK_STARTED) == kinds.count(TASK_FINISHED)
         assert kinds.count(TASK_FINISHED) >= len(SUBSET)
+
+    def test_full_suite_bit_identical_within_bound(self, tmp_path):
+        seq_ctx = make_ctx(tmp_path / "seq")
+        seq = run_all(seq_ctx)
+        par_ctx = make_ctx(tmp_path / "par")
+        par = run_bounded(lambda: run_all(par_ctx, jobs=2), 120.0)
+        assert [r.exp_id for r in par] == list(EXPERIMENTS)
+        for a, b in zip(seq, par):
+            assert isinstance(b, ExperimentResult), b
+            assert (a.text, a.rows, a.notes) == (b.text, b.rows, b.notes)
+        assert par_ctx.engine.stats.app_runs == seq_ctx.engine.stats.app_runs
 
     def test_report_accounts_for_every_task(self, tmp_path):
         exps = {"table1": EXPERIMENTS["table1"]}

@@ -42,8 +42,8 @@ from repro.experiments.__main__ import main as experiments_main
 from repro.resilience.harness import ExperimentFailure
 from repro.sched import (
     ExperimentTask,
+    QueueCoordinator,
     RecordTask,
-    Scheduler,
     TaskGraph,
     WorkerConfig,
     build_suite_graph,
@@ -184,8 +184,9 @@ class TestFingerprint:
 
 class TestStallDiagnostics:
     def test_stall_error_names_unmet_dependencies(self, tmp_path, monkeypatch):
+        spec = make_ctx(tmp_path, apps=("gtc",)).spec_for("gtc")
         graph = TaskGraph([
-            RecordTask(task_id="record:x", name="x", spec=None),
+            RecordTask(task_id="record:x", name="x", spec=spec),
             ExperimentTask(task_id="exp:a", exp_id="a", deps=("record:x",)),
         ])
         monkeypatch.setattr(TaskGraph, "ready",
@@ -193,7 +194,8 @@ class TestStallDiagnostics:
         cfg = WorkerConfig(cache_root=str(tmp_path), seed=0, apps=("gtc",),
                            **FAST)
         with pytest.raises(SchedulerError) as ei:
-            Scheduler(graph, cfg, jobs=1).run()
+            QueueCoordinator(graph, cfg, cache_root=str(tmp_path),
+                             run_id="stall", jobs=1).run()
         msg = str(ei.value)
         assert "2 pending task(s)" in msg
         assert "exp:a waits on [record:x]" in msg

@@ -1,4 +1,4 @@
-"""Queue-transport soak: SIGKILL workers mid-record under ChaosFS flips.
+"""Work-queue soak: SIGKILL workers mid-record under ChaosFS flips.
 
 The property under test is the queue's headline guarantee: a suite run
 over the filesystem work queue produces results **bit-identical** to a
@@ -14,9 +14,9 @@ rudely — because
 
 The soak:
 
-1. runs the subset sequentially (``jobs=1``, process transport) into a
-   fresh cache — the baseline;
-2. runs the same subset over the queue transport with ``--workers``
+1. runs the subset sequentially (``jobs=1``, in-process) into a fresh
+   cache — the baseline;
+2. runs the same subset over the work queue with up to ``--workers``
    local worker processes, each recording through a ChaosFS that flips
    a bit in its first committed trace container (``io-queue-soak``) —
    so replay verification and self-healing re-record are exercised
@@ -160,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
     run_id = "soak"
     jnl = RunJournal.open(ctx.engine.cache.root, run_id)
     jnl.append("run_started", run_id=run_id, fingerprint=graph.fingerprint(),
-               jobs=args.workers, seed=args.seed, transport="queue")
+               jobs=args.workers, seed=args.seed)
     coord = QueueCoordinator(
         graph, cfg,
         cache_root=ctx.engine.cache.root,
@@ -181,8 +181,7 @@ def main(argv: list[str] | None = None) -> int:
     killer.join(timeout=2.0)
     jnl.run_finished(n_failed=len(outcome.failures),
                      n_skipped=len(outcome.skipped),
-                     jobs=args.workers, wall_s=outcome.report.wall_s,
-                     transport="queue")
+                     jobs=args.workers, wall_s=outcome.report.wall_s)
     jnl.close()
     print(f"queue-soak: queue jobs={args.workers} in "
           f"{time.monotonic() - t0:.1f}s — {outcome.report.summary()}")
