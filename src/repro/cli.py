@@ -9,10 +9,10 @@ Subcommands:
 * ``trace show <path> [--verify]`` — inspect a trace container (the bare
   ``trace <path>`` spelling still works); ``--verify`` checks every
   batch's CRC32 and reports the first corrupt batch;
-* ``trace migrate <in> <out>`` — convert a v1/v2 ``.npz`` archive (or
-  another v3 container) to the chunked columnar v3 format, atomically
-  (tmp directory + one rename); refuses to overwrite an existing
-  destination (exit 2);
+* ``trace migrate <in> <out>`` — convert a v1/v2 ``.npz`` archive or a
+  v3 container (or another v4 one) to the chunked columnar v4 format,
+  atomically (tmp directory + one rename); refuses to overwrite an
+  existing destination (exit 2);
 * ``engine stats <app>`` — record one run spec through the pipeline
   engine, replay it, and print the per-stage wall-time / refs-per-second
   table, including the self-healing ``quarantined`` / ``re-recorded``
@@ -204,7 +204,7 @@ def cmd_engine(args: argparse.Namespace) -> int:
         import json
         import os
 
-        from repro.engine.artifacts import REFS_TV3, Artifact
+        from repro.engine.artifacts import REFS_TV4, Artifact
 
         cache = ArtifactCache(args.cache_dir)
         found = 0
@@ -218,8 +218,8 @@ def cmd_engine(args: argparse.Namespace) -> int:
             art = Artifact(os.path.basename(dirpath), dirpath)
             size = art.size_bytes()
             total += size
-            fmt = ("tv3" if os.path.isdir(os.path.join(dirpath, REFS_TV3))
-                   else "npz")
+            fmt = ("tv4" if os.path.isdir(os.path.join(dirpath, REFS_TV4))
+                   else "legacy")
             print(f"{os.path.basename(dirpath)[:12]}  "
                   f"{spec.get('app', '?'):18s} "
                   f"refs={meta.get('refs', 0):>8d}  "
@@ -438,9 +438,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_trace_migrate(args: argparse.Namespace) -> int:
     import os
 
-    from repro.trace.chunked import migrate_trace, tv3_path
+    from repro.trace.chunked import migrate_trace, tv4_path
 
-    final = tv3_path(args.dst)
+    final = tv4_path(args.dst)
     if os.path.exists(final):
         raise ConfigurationError(
             f"destination {final} already exists (refusing to overwrite)")
@@ -452,7 +452,7 @@ def cmd_trace_migrate(args: argparse.Namespace) -> int:
         print(f"migrate failed{where}: {exc}", file=sys.stderr)
         return 1
     print(f"{args.src} -> {final}: {n_batches} batches, "
-          f"{total_refs} references migrated to v3")
+          f"{total_refs} references migrated to v4")
     return 0
 
 
@@ -521,10 +521,10 @@ def main(argv: list[str] | None = None) -> int:
     p_ts.add_argument("--verify", action="store_true",
                       help="checksum every batch; exit 1 on corruption")
     p_tm = tr_sub.add_parser(
-        "migrate", help="convert a v1/v2 archive to a v3 container")
+        "migrate", help="convert a v1/v2 archive or v3 container to v4")
     p_tm.add_argument("src", help="source trace (.npz archive or .tv3 dir)")
-    p_tm.add_argument("dst", help="destination v3 container "
-                                  "(.tv3 appended if missing)")
+    p_tm.add_argument("dst", help="destination v4 container "
+                                  "(.tv4 appended if missing)")
     p_en = sub.add_parser("engine",
                           help="pipeline-engine stats and artifact listing")
     en_sub = p_en.add_subparsers(dest="action", required=True)
@@ -628,7 +628,7 @@ def main(argv: list[str] | None = None) -> int:
         help="model-check a durable protocol's crash consistency")
     p_cc.add_argument("protocol", nargs="?", default="all",
                       help="protocol to check (artifact, fence, journal, "
-                           "queue, tv3) or 'all'")
+                           "queue, tv4) or 'all'")
     p_cc.add_argument("--list", action="store_true",
                       help="list checkable protocols and exit")
     p_cc.add_argument("--per-point", type=int, default=6,

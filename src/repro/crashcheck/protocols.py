@@ -14,8 +14,9 @@ The invariants, per protocol:
 * **artifact** — an acked commit is never corrupt (``get`` +
   ``verify`` succeed); anything uncommitted is quarantinable
   (``fsck --repair`` runs clean and never raises).
-* **tv3** — a container visible at the final path is always complete
-  and CRC-clean; an acked publish is visible.
+* **tv4** — a container visible at its final path is always complete
+  and CRC-clean; an acked publish is visible; an unpublished one's
+  leftovers are discardable by a fresh writer.
 * **journal** — ``RunJournal.open`` never replays a torn tail; every
   acked (fsync'd) append replays; an acked ``run_finished`` keeps its
   DONE marker.
@@ -51,7 +52,7 @@ def _key(tag: str) -> str:
 
 def _batch(rng: np.random.Generator, n: int, iteration: int) -> RefBatch:
     # incompressible addresses: chunks stay multi-block so the model
-    # can exercise torn writes against the v3 container
+    # can exercise torn writes against the trace data file
     return RefBatch(
         addr=rng.integers(0, 1 << 48, size=n, dtype=np.uint64),
         is_write=rng.integers(0, 2, size=n, dtype=np.uint8).astype(bool),
@@ -65,45 +66,47 @@ def _fail(message: str, protocol: str) -> None:
     raise CrashConsistencyError(message, protocol=protocol)
 
 
+def _empty_setup(root: str) -> None:
+    """Every protocol starts from an empty root (the artifact cache's
+    ``begin()`` builds its own shard chain)."""
+
+
 # ----------------------------------------------------------------------
-# artifact: in-place commit + staged publish
+# artifact: alternating in-place commits and staged publishes
 # ----------------------------------------------------------------------
+_ART_COMMITS = 30
+_ART_BATCHES = 4
+#: Even positions commit in place, odd ones through a stage directory.
 _ART_KEYS = (_key("crashcheck-artifact-inplace"),
-             _key("crashcheck-artifact-staged"))
-
-
-def _artifact_setup(root: str) -> None:
-    pass  # the cache starts empty; begin() builds the shard chain
+             _key("crashcheck-artifact-staged"),
+             *(_key(f"crashcheck-artifact-{i}")
+               for i in range(2, _ART_COMMITS)))
 
 
 def _artifact_workload(root: str, fs: RecordingFS, mark: MarkLog) -> None:
     from repro.engine.artifacts import ArtifactCache, PendingArtifact
+    from repro.engine.artifacts import STAGE_MARKER, _host_tag
 
     cache = ArtifactCache(root, fs=fs)
     rng = np.random.default_rng(7)
-    key_inplace, key_staged = _ART_KEYS
-
-    pending = cache.begin(SimpleNamespace(key=key_inplace))
-    assert isinstance(pending, PendingArtifact)
-    n_batches = 64
-    for i in range(n_batches):
-        pending.writer.append(_batch(rng, 320, i))
-    pending.commit([["phase", "main", i] for i in range(4)],
-                   {"key": key_inplace, "n_batches": n_batches})
-    mark("committed", key=key_inplace, kind="inplace")
-
-    # staged publish: the path a fenced recorder takes past a frozen
-    # flock holder — private stage dir, one rename into place
-    from repro.engine.artifacts import STAGE_MARKER, _host_tag
-
-    final = cache.dir_for(key_staged)
-    stage = f"{final}{STAGE_MARKER}1-{os.getpid()}-{_host_tag()}"
-    staged = PendingArtifact(key_staged, stage, fs=fs, final_dir=final)
-    for i in range(n_batches):
-        staged.writer.append(_batch(rng, 320, i))
-    staged.commit([["phase", "staged", i] for i in range(4)],
-                  {"key": key_staged, "n_batches": n_batches})
-    mark("committed", key=key_staged, kind="staged")
+    for n, key in enumerate(_ART_KEYS):
+        if n % 2 == 0:
+            kind = "inplace"
+            pending = cache.begin(SimpleNamespace(key=key))
+            assert isinstance(pending, PendingArtifact)
+        else:
+            # staged publish: the path a fenced recorder takes past a
+            # frozen flock holder — private stage dir, one rename into
+            # place
+            kind = "staged"
+            final = cache.dir_for(key)
+            stage = f"{final}{STAGE_MARKER}1-{os.getpid()}-{_host_tag()}"
+            pending = PendingArtifact(key, stage, fs=fs, final_dir=final)
+        for i in range(_ART_BATCHES):
+            pending.writer.append(_batch(rng, 320, i))
+        pending.commit([["phase", kind, i] for i in range(4)],
+                       {"key": key, "n_batches": _ART_BATCHES})
+        mark("committed", key=key, kind=kind)
 
 
 def _artifact_recover(root: str, acked: list[Mark]) -> None:
@@ -135,54 +138,56 @@ def _artifact_recover(root: str, acked: list[Mark]) -> None:
 
 
 # ----------------------------------------------------------------------
-# tv3: chunked-container publish
+# tv4: chunked-container publish, many small containers
 # ----------------------------------------------------------------------
-_TV3_NAME = "refs.tv3"
+_TV4_CONTAINERS = 56
+_TV4_BATCHES = 3
 
 
-def _tv3_setup(root: str) -> None:
-    pass
+def _tv4_path(root: str, n: int) -> str:
+    return os.path.join(root, f"trace-{n:02d}.tv4")
 
 
-def _tv3_workload(root: str, fs: RecordingFS, mark: MarkLog) -> None:
+def _tv4_workload(root: str, fs: RecordingFS, mark: MarkLog) -> None:
     from repro.trace.chunked import ChunkedTraceWriter
 
     rng = np.random.default_rng(11)
-    writer = ChunkedTraceWriter(os.path.join(root, _TV3_NAME), fs=fs,
-                                codec="raw")
-    n_batches = 132
-    for i in range(n_batches):
-        writer.append(_batch(rng, 256, i))
-    writer.close()
-    mark("published", n_batches=n_batches)
+    for n in range(_TV4_CONTAINERS):
+        writer = ChunkedTraceWriter(_tv4_path(root, n), fs=fs,
+                                    codec=("raw", "zlib")[n % 2])
+        for i in range(_TV4_BATCHES):
+            # an odd reference count: raw chunks need padding
+            writer.append(_batch(rng, 255, i))
+        writer.close()
+        mark("published", n=n)
 
 
-def _tv3_recover(root: str, acked: list[Mark]) -> None:
-    from repro.trace.chunked import ChunkedTraceReader, is_chunked
+def _tv4_recover(root: str, acked: list[Mark]) -> None:
     from repro.errors import TraceError
+    from repro.trace.chunked import ChunkedTraceReader, ChunkedTraceWriter
+    from repro.trace.chunked import is_chunked
 
-    path = os.path.join(root, _TV3_NAME)
-    published = [m for m in acked if m.label == "published"]
-    container = is_chunked(path)
-    if container is None:
-        if published:
-            _fail("acked tv3 publish is invisible after crash", "tv3")
-        # not yet published: the tmp leftover (if any) must be
-        # discardable by the real writer-restart path
-        from repro.trace.chunked import ChunkedTraceWriter
-
-        ChunkedTraceWriter(path).discard()
-        return
-    try:
-        reader = ChunkedTraceReader(path)
-        reader.verify_stored()
-        n = reader.n_batches
-    except TraceError as exc:
-        _fail(f"half-published v3 container visible at the final path: "
-              f"{exc}", "tv3")
-    if published and n != published[-1].info["n_batches"]:
-        _fail(f"acked tv3 publish replays {n} batches, expected "
-              f"{published[-1].info['n_batches']}", "tv3")
+    published = {m.info["n"] for m in acked if m.label == "published"}
+    for n in range(_TV4_CONTAINERS):
+        path = _tv4_path(root, n)
+        if is_chunked(path) is None:
+            if n in published:
+                _fail(f"acked tv4 publish of container {n} is invisible "
+                      f"after crash", "tv4")
+            # not yet published: the tmp leftover (if any) must be
+            # discardable by the real writer-restart path
+            ChunkedTraceWriter(path).discard()
+            continue
+        try:
+            with ChunkedTraceReader(path) as reader:
+                reader.verify_stored()
+                got = reader.n_batches
+        except TraceError as exc:
+            _fail(f"half-published v4 container {n} visible at the final "
+                  f"path: {exc}", "tv4")
+        if got != _TV4_BATCHES:
+            _fail(f"tv4 container {n} replays {got} batches, expected "
+                  f"{_TV4_BATCHES}", "tv4")
 
 
 # ----------------------------------------------------------------------
@@ -190,10 +195,6 @@ def _tv3_recover(root: str, acked: list[Mark]) -> None:
 # ----------------------------------------------------------------------
 _JOURNAL_RUN = "crashcheck-run"
 _JOURNAL_PAIRS = 260
-
-
-def _journal_setup(root: str) -> None:
-    pass
 
 
 def _journal_workload(root: str, fs: RecordingFS, mark: MarkLog) -> None:
@@ -259,10 +260,6 @@ def _journal_recover(root: str, acked: list[Mark]) -> None:
 _FENCE_EPOCHS = 180
 
 
-def _fence_setup(root: str) -> None:
-    pass
-
-
 def _fence_workload(root: str, fs: RecordingFS, mark: MarkLog) -> None:
     from repro.engine.locks import write_fence
 
@@ -291,10 +288,6 @@ def _fence_recover(root: str, acked: list[Mark]) -> None:
 _QUEUE_RUN = "crashcheck-queue"
 _QUEUE_TASKS = 40
 _QUEUE_REVOKED = 10  # how many tasks also go through a revocation cycle
-
-
-def _queue_setup(root: str) -> None:
-    pass
 
 
 def _queue_workload(root: str, fs: RecordingFS, mark: MarkLog) -> None:
@@ -370,25 +363,25 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
     "artifact": ProtocolSpec(
         name="artifact",
         description="artifact cache commit (in-place and staged publish)",
-        setup=_artifact_setup, workload=_artifact_workload,
+        setup=_empty_setup, workload=_artifact_workload,
         recover=_artifact_recover),
-    "tv3": ProtocolSpec(
-        name="tv3",
-        description="chunked trace container publish (v3)",
-        setup=_tv3_setup, workload=_tv3_workload, recover=_tv3_recover),
+    "tv4": ProtocolSpec(
+        name="tv4",
+        description="chunked trace container publish (v4)",
+        setup=_empty_setup, workload=_tv4_workload, recover=_tv4_recover),
     "journal": ProtocolSpec(
         name="journal",
         description="append-only run journal with torn-tail truncation",
-        setup=_journal_setup, workload=_journal_workload,
+        setup=_empty_setup, workload=_journal_workload,
         recover=_journal_recover),
     "fence": ProtocolSpec(
         name="fence",
         description="monotonic fencing-epoch files",
-        setup=_fence_setup, workload=_fence_workload,
+        setup=_empty_setup, workload=_fence_workload,
         recover=_fence_recover),
     "queue": ProtocolSpec(
         name="queue",
         description="distributed work queue (manifest/lease/fence/result)",
-        setup=_queue_setup, workload=_queue_workload,
+        setup=_empty_setup, workload=_queue_workload,
         recover=_queue_recover),
 }

@@ -2,12 +2,12 @@
 
 Layout: ``<root>/<key[:2]>/<key>/`` holding three entries —
 
-* ``refs.tv3/`` — the reference batches in the chunked columnar v3
-  trace format (per-chunk CRC32 index, streamed chunk files, atomic
-  directory publish; see :mod:`repro.trace.chunked`). Caches written
-  before v3 hold a monolithic ``refs.npz`` instead — those still read
-  fine (:attr:`Artifact.refs_path` picks whichever exists) and can be
-  upgraded with ``nvscavenger trace migrate``;
+* ``refs.tv4/`` — the reference batches in the chunked columnar v4
+  trace format (per-chunk CRC32 index, one append-only data file fsync'd
+  once, atomic directory publish; see :mod:`repro.trace.chunked`). An
+  artifact from an older cache (``refs.tv3/`` or ``refs.npz``) reads as
+  corrupt: ``engine fsck --repair`` and replay's self-healing both
+  quarantine it, and replay then re-records the spec;
 * ``events.json`` — the discrete event stream interleaved with batch
   placeholders (see :mod:`repro.engine.events`);
 * ``meta.json`` — the canonical spec plus run-level facts (footprint,
@@ -60,14 +60,15 @@ from dataclasses import dataclass, field
 from typing import Iterator, List
 
 from repro.errors import CacheLockError, FencedOutError, TraceError
+from repro.trace.chunked import ChunkedTraceReader, ChunkedTraceWriter
 from repro.trace.fsio import (
+    OsFS,
     content_digest_from_crcs,
     ensure_dir_chain,
     publish_dir,
     publish_file,
     read_json_or_none,
 )
-from repro.trace.io import OsFS, TraceReader, TraceWriter
 from repro.trace.record import RefBatch
 
 from repro.engine.locks import KeyLock, pid_alive
@@ -75,17 +76,14 @@ from repro.engine.spec import RunSpec
 
 _log = logging.getLogger("repro.engine.cache")
 
-#: The chunked v3 trace container inside an artifact directory.
-REFS_TV3 = "refs.tv3"
-#: The legacy monolithic trace archive (pre-v3 caches).
-REFS_NPZ = "refs.npz"
+#: The chunked v4 trace container inside an artifact directory.
+REFS_TV4 = "refs.tv4"
 #: The three entries of a committed artifact, in write order.
-ARTIFACT_FILES = (REFS_TV3, "events.json", "meta.json")
-#: Temporary sibling *files* a crashed recording may leave behind
-#: (``refs.npz.tmp`` covers pre-v3 caches).
-TMP_FILES = ("refs.npz.tmp", "events.json.tmp", "meta.json.tmp")
-#: Temporary sibling *directories* a crashed v3 recording may leave.
-TMP_DIRS = (REFS_TV3 + ".tmp",)
+ARTIFACT_FILES = (REFS_TV4, "events.json", "meta.json")
+#: Temporary sibling *files* a crashed recording may leave behind.
+TMP_FILES = ("events.json.tmp", "meta.json.tmp")
+#: Temporary sibling *directories* a crashed recording may leave.
+TMP_DIRS = (REFS_TV4 + ".tmp",)
 #: Sibling-directory suffix quarantined artifacts are renamed under.
 QUARANTINE_SUFFIX = ".quarantine"
 #: Sibling-directory marker for fenced staged recordings: a worker whose
@@ -172,16 +170,8 @@ class Artifact:
 
     @property
     def refs_path(self) -> str:
-        """The trace container: the v3 chunk directory when present,
-        else the legacy npz archive (pre-v3 caches), else the v3 path a
-        fresh recording would create."""
-        tv3 = os.path.join(self.directory, REFS_TV3)
-        if os.path.isdir(tv3):
-            return tv3
-        npz = os.path.join(self.directory, REFS_NPZ)
-        if os.path.exists(npz):
-            return npz
-        return tv3
+        """The v4 trace container directory."""
+        return os.path.join(self.directory, REFS_TV4)
 
     @property
     def events_path(self) -> str:
@@ -229,16 +219,16 @@ class Artifact:
 
     def batches(self) -> Iterator[RefBatch]:
         """Stream the recorded reference batches (checksums verified)."""
-        with TraceReader(self.refs_path) as reader:
+        with ChunkedTraceReader(self.refs_path) as reader:
             yield from reader
 
     def size_bytes(self) -> int:
         """Total on-disk size of the artifact directory.
 
-        Walks the whole tree rather than a fixed file list so the v3
-        trace container's nested chunk files (and any stray tmp
+        Walks the whole tree rather than a fixed file list so the trace
+        container's nested files (and any stray tmp or older-format
         leftovers) are counted — ``engine gc`` and ``engine ls`` byte
-        totals stay correct for mixed v2/v3 caches.
+        totals stay correct.
         """
         total = 0
         for dirpath, _dirnames, filenames in os.walk(self.directory):
@@ -330,8 +320,8 @@ class Artifact:
         self.verify_marker()
         events = self.events()
         try:
-            # iterating the reader checksums every batch/chunk
-            with TraceReader(self.refs_path) as reader:
+            # iterating the reader checksums every chunk
+            with ChunkedTraceReader(self.refs_path) as reader:
                 batches = list(reader)
         except TraceError as exc:
             if exc.key is None:
@@ -345,20 +335,15 @@ class Artifact:
         batch count.
 
         Checks everything :meth:`verify` does *except* that chunk
-        payloads are verified by their stored CRC32s only — for a v3
-        container that is a CRC pass over the mapped chunk bytes with
-        no decompression and no array construction, which is what makes
-        the service's warm path cheap. Legacy npz archives have no
-        stored-bytes checksum, so they fall back to the full decode.
+        payloads are verified by their stored CRC32s only — a CRC pass
+        over the mapped data file with no decompression and no array
+        construction, which is what makes the service's warm path cheap.
         """
         self.verify_marker()
         try:
-            with TraceReader(self.refs_path) as reader:
-                if hasattr(reader, "verify_stored"):
-                    reader.verify_stored()
-                    n = reader.n_batches
-                else:
-                    n = reader.verify()
+            with ChunkedTraceReader(self.refs_path) as reader:
+                reader.verify_stored()
+                n = reader.n_batches
         except TraceError as exc:
             if exc.key is None:
                 exc.key = self.key
@@ -370,12 +355,11 @@ class Artifact:
         """The run's content digest, computed from stored CRCs.
 
         sha256 over the event log's CRC32 plus every batch's
-        format-independent payload CRC32 — read from the v3 chunk index
-        (or v2's tiny ``b{i}_crc`` members) without decoding any
-        payload, and equal to
+        format-independent payload CRC32 — read from the chunk index
+        without decoding any payload, and equal to
         :func:`repro.service.protocol.digest_payload` of the decoded
         content. Stable across re-records of the same spec *and* across
-        a v2→v3 migration.
+        a migration to v4.
         """
         meta = self.meta
         events_crc = meta.get("events_crc32")
@@ -389,7 +373,7 @@ class Artifact:
                     f"{exc}", key=self.key, path=self.events_path,
                 ) from exc
         try:
-            with TraceReader(self.refs_path) as reader:
+            with ChunkedTraceReader(self.refs_path) as reader:
                 crcs = reader.payload_crcs()
         except TraceError as exc:
             if exc.key is None:
@@ -407,7 +391,7 @@ class Artifact:
         describes that.
         """
         try:
-            reader = TraceReader(self.refs_path)
+            reader = ChunkedTraceReader(self.refs_path)
         except TraceError as exc:
             return [ChunkVerdict(-1, "corrupt", 0,
                                  f"unreadable container: {exc}")]
@@ -477,7 +461,7 @@ class PendingArtifact:
         if final_dir is None:
             # clear any partial files left by an interrupted recording
             # (safe: the key lock guarantees no live recorder owns them);
-            # the v3 trace container and its tmp are directories, so
+            # the trace container and its tmp are directories, so
             # clean both kinds. Staged mode skips this: the stage dir is
             # freshly created and the final dir belongs to someone else
             # until the publish rename.
@@ -489,15 +473,15 @@ class PendingArtifact:
             except FencedOutError:
                 self._finish()
                 raise
-            for name in (ARTIFACT_FILES + (REFS_NPZ,) + TMP_FILES + TMP_DIRS
+            for name in (ARTIFACT_FILES + TMP_FILES + TMP_DIRS
                          + (LAST_ACCESS_FILE,)):
                 path = os.path.join(directory, name)
                 if os.path.isdir(path):
                     self._fs.rmtree(path)
                 elif self._fs.exists(path):
                     self._fs.unlink(path)
-        self.writer = TraceWriter(os.path.join(directory, REFS_TV3),
-                                  fs=self._fs)
+        self.writer = ChunkedTraceWriter(os.path.join(directory, REFS_TV4),
+                                         fs=self._fs)
 
     def _finish(self) -> None:
         self._done = True
@@ -624,7 +608,7 @@ class PendingArtifact:
             # leave the directory to its current owner.
             self._finish()
             return
-        for name in (("meta.json", "events.json", REFS_TV3, REFS_NPZ)
+        for name in (("meta.json", "events.json", REFS_TV4)
                      + TMP_FILES + TMP_DIRS + (LAST_ACCESS_FILE,)):
             path = os.path.join(self.directory, name)
             try:
@@ -775,20 +759,15 @@ class ArtifactCache:
                        fence=self.fence)
 
     def get(self, spec: RunSpec) -> Artifact | None:
-        """The committed artifact for *spec*, or None if absent/partial."""
+        """The committed artifact for *spec*, or None if absent/partial.
+
+        meta.json is the commit marker: a committed artifact whose
+        payload is missing or in an older trace format is returned, and
+        reads as corrupt when verified (so it is quarantined, not
+        silently recorded over)."""
         key = spec.key
-        directory = self.dir_for(key)
-        art = Artifact(key, directory)
-        try:
-            if not os.path.exists(art.meta_path):
-                return None
-            # meta.json is the commit marker, but guard against manual
-            # deletion of the payload files too
-            if not (os.path.exists(art.refs_path)
-                    and os.path.exists(art.events_path)):
-                return None
-        except OSError:
-            # the directory vanished between checks (concurrent gc or rm)
+        art = Artifact(key, self.dir_for(key))
+        if not os.path.exists(art.meta_path):
             return None
         self._touch_last_access(art)
         return art
@@ -1039,7 +1018,7 @@ class ArtifactCache:
                 # bad (the marker itself verified), name which chunks
                 # survived so quarantine triage knows what is salvageable
                 if getattr(exc, "batch_index", None) is not None or \
-                        os.path.isdir(os.path.join(path, REFS_TV3)):
+                        os.path.isdir(os.path.join(path, REFS_TV4)):
                     verdicts = art.verify_chunks()
                     bad = [v.index for v in verdicts if v.status != "ok"]
                     good = sum(1 for v in verdicts if v.status == "ok")

@@ -106,8 +106,9 @@ class IOFaultScenario(FaultScenario):
 
 
 register_scenario(IOFaultScenario(
-    "io-torn-refs", "torn write: only 512 bytes of the first chunk survive",
-    faults=(IOFault("torn", op="write:chunk-000000.bin", offset=512),)))
+    "io-torn-refs",
+    "torn write: only 512 bytes of the trace data file survive",
+    faults=(IOFault("torn", op="write:chunk-data.bin", offset=512),)))
 register_scenario(IOFaultScenario(
     "io-enospc-meta", "disk full while writing the meta.json commit marker",
     faults=(IOFault("enospc", op="write:meta.json.tmp"),)))
@@ -119,58 +120,27 @@ register_scenario(IOFaultScenario(
     faults=(IOFault("crash", op="replace:meta.json"),)))
 register_scenario(IOFaultScenario(
     "io-bitflip-refs", "one bit flips in the committed trace container",
-    faults=(IOFault("bitflip", op="replace:refs.tv3"),)))
+    faults=(IOFault("bitflip", op="replace:refs.tv4"),)))
 register_scenario(IOFaultScenario(
     "io-bitflip-refs-persistent",
     "every re-recorded trace container is corrupted again (bad media)",
-    faults=(IOFault("bitflip", op="replace:refs.tv3", repeat=True),)))
+    faults=(IOFault("bitflip", op="replace:refs.tv4", repeat=True),)))
 register_scenario(IOFaultScenario(
     "io-queue-soak",
     "queue soak: each worker's first committed trace container takes a "
     "bit flip (replay verification + self-healing re-record repair it "
     "mid-suite, under concurrent claims and worker kills)",
-    faults=(IOFault("bitflip", op="replace:refs.tv3"),)))
-
-
-def _zip_payload_spans(path: str) -> list[tuple[int, int]]:
-    """``(start, length)`` of every stored member's compressed payload.
-
-    Media faults are injected into these spans (the actual data on the
-    medium) rather than into zip bookkeeping, some of whose bytes —
-    central-directory timestamps, external attributes — are semantically
-    dead and undetectable by any content check. Every payload bit is
-    covered by the member CRC32 that zipfile verifies on read, so a flip
-    here is always detectable. Returns ``[]`` for non-zip files.
-    """
-    import struct
-    import zipfile
-
-    try:
-        with zipfile.ZipFile(path) as zf, open(path, "rb") as fh:
-            spans: list[tuple[int, int]] = []
-            for info in zf.infolist():
-                fh.seek(info.header_offset)
-                hdr = fh.read(30)
-                if len(hdr) < 30 or hdr[:4] != b"PK\x03\x04":
-                    continue
-                name_len, extra_len = struct.unpack("<HH", hdr[26:30])
-                start = info.header_offset + 30 + name_len + extra_len
-                if info.compress_size > 0:
-                    spans.append((start, info.compress_size))
-            return spans
-    except (OSError, zipfile.BadZipFile):
-        return []
+    faults=(IOFault("bitflip", op="replace:refs.tv4"),)))
 
 
 def _flip_payload_bit(path: str, injector: FaultInjector) -> int:
     """Flip one injector-drawn bit of *path*'s stored payload, in place.
 
-    For a v3 container *directory* the flip lands anywhere across its
-    files' total bytes (index and chunks alike — every byte is covered
-    by a CRC32, so any flip is detectable); for zip containers
-    (``refs.npz``) inside a member's compressed data; for anything else,
-    anywhere in the file. Returns the affected byte offset (within the
-    chosen file, for directories).
+    For a trace container *directory* the flip lands anywhere across
+    its files' total bytes (index and data file alike — every byte is
+    covered by a CRC32, so any flip is detectable); for a file,
+    anywhere in it. Returns the affected byte offset (within the chosen
+    file, for directories).
     """
     if os.path.isdir(path):
         files = sorted(
@@ -196,18 +166,7 @@ def _flip_payload_bit(path: str, injector: FaultInjector) -> int:
         data = bytearray(fh.read())
     if not data:
         raise FaultInjectionError(f"cannot corrupt empty file {path}")
-    spans = _zip_payload_spans(path)
-    if spans:
-        k = injector.random_offset(sum(length for _, length in spans))
-        off = None
-        for start, length in spans:
-            if k < length:
-                off = start + k
-                break
-            k -= length
-        assert off is not None
-    else:
-        off = injector.random_offset(len(data))
+    off = injector.random_offset(len(data))
     data[off] ^= 1 << injector.random_offset(8)
     with open(path, "wb") as fh:
         fh.write(data)

@@ -2,7 +2,7 @@
 
 ``record(spec)`` executes the application *at most once per distinct
 spec*: the first request instruments the app, streams its reference
-batches into the crash-safe chunked v3 trace format under the
+batches into the crash-safe chunked v4 trace format under the
 content-addressed artifact cache, and logs the discrete event stream;
 later requests (and later processes pointed at the same cache root)
 return the committed artifact without executing anything.
@@ -10,7 +10,7 @@ return the committed artifact without executing anything.
 the NV-SCAVENGER analyzers, the cache simulator, a locality analyzer —
 so one execution feeds arbitrarily many consumers.
 ``replay_window(spec, probes, start_ref, n_refs)`` delivers just a slice
-of the reference stream, using the v3 chunk index to decode only the
+of the reference stream, using the v4 chunk index to decode only the
 chunks the window touches.
 
 Every stage is instrumented: per-phase wall time (``map`` the container,
@@ -23,14 +23,15 @@ window-replay decode bound — are tested against.
 
 Replay is **self-healing**: before an artifact's first replay through an
 engine instance, both JSON files and every chunk's stored CRC32 are
-scrubbed (for v3 that is a checksum pass over the mapped bytes, no
-decompression). A corrupt artifact is quarantined (renamed aside,
-structured log event) and transparently re-recorded with bounded,
-exponentially backed-off retries; the ``quarantined`` / ``rerecorded``
-counters surface how often that happened. Recording is also safe across
-processes: the cache's per-key ``flock`` serializes concurrent
-recorders, and losing the race simply returns the winner's committed
-artifact as a cache hit.
+scrubbed (a checksum pass over the mapped data file, no
+decompression). A corrupt artifact — including one an older cache
+wrote in a trace format the engine no longer reads — is quarantined
+(renamed aside, structured log event) and transparently re-recorded
+with bounded, exponentially backed-off retries; the ``quarantined`` /
+``rerecorded`` counters surface how often that happened. Recording is
+also safe across processes: the cache's per-key ``flock`` serializes
+concurrent recorders, and losing the race simply returns the winner's
+committed artifact as a cache hit.
 
 Decoding is **lazy and chunk-granular**: an open artifact is held as a
 :class:`_RunHandle` (memory-mapped reader + parsed event stream), and a
@@ -57,7 +58,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.trace.io import TraceReader
+from repro.trace.chunked import ChunkedTraceReader
 from repro.trace.record import RefBatch
 
 from repro.engine.artifacts import Artifact, ArtifactCache
@@ -183,17 +184,15 @@ class _DecodedChunk:
 class _RunHandle:
     """An open artifact: mapped trace reader + parsed event stream.
 
-    Holding the handle across replays means the v3 container's index and
-    chunk mmaps stay established — re-replaying costs no re-open, and the
-    per-chunk stored-CRC verification state inside the reader persists.
-    ``ref_offsets`` (cumulative refs before each chunk) is filled lazily:
-    free from a v3 index, derived by decoding for legacy npz archives.
+    Holding the handle across replays means the container's index and
+    data-file map stay established — re-replaying costs no re-open, and
+    the per-chunk stored-CRC verification state inside the reader
+    persists.
     """
 
     art: Artifact
-    reader: object  # ChunkedTraceReader | NpzTraceReader
+    reader: ChunkedTraceReader
     events: list
-    ref_offsets: np.ndarray | None = None
     verified: bool = False
 
 
@@ -283,15 +282,15 @@ class PipelineEngine:
     def _handle(self, art: Artifact) -> _RunHandle:
         """The open :class:`_RunHandle` for *art*, opening it on first use.
 
-        Opening maps the trace container (for v3: reads and validates the
-        chunk index, no payload I/O) and parses the event stream; the
-        cost lands in the ``map`` stage."""
+        Opening reads and validates the trace container's chunk index
+        (no payload I/O) and parses the event stream; the cost lands in
+        the ``map`` stage."""
         h = self._handles.get(art.key)
         if h is not None:
             return h
         t0 = time.perf_counter()
         try:
-            reader = TraceReader(art.refs_path)
+            reader = ChunkedTraceReader(art.refs_path)
         except TraceError as exc:
             if exc.key is None:
                 exc.key = art.key
@@ -312,11 +311,10 @@ class PipelineEngine:
         """Scrub *h* before anything is delivered from it (idempotent).
 
         Checks the commit marker, the event log's whole-file CRC, and
-        every chunk's stored CRC32 — for v3 a checksum pass over the
-        mapped bytes with no decompression, for legacy npz a full decode
-        (the archive stores no raw-bytes checksum). Runs once per handle;
-        raises :class:`~repro.errors.TraceError` on any corruption, so a
-        bad artifact can never half-deliver into stateful probes."""
+        every chunk's stored CRC32 — a checksum pass over the mapped
+        data file with no decompression. Runs once per handle; raises
+        :class:`~repro.errors.TraceError` on any corruption, so a bad
+        artifact can never half-deliver into stateful probes."""
         if h.verified:
             return
         art = h.art
@@ -324,11 +322,8 @@ class PipelineEngine:
         try:
             art.verify_marker()
             reader = h.reader
-            if hasattr(reader, "verify_stored"):
-                reader.verify_stored()
-                self.stats.chunks_verified += reader.n_batches
-            else:
-                self.stats.chunks_verified += reader.verify()
+            reader.verify_stored()
+            self.stats.chunks_verified += reader.n_batches
             art._check_n_batches(reader.n_batches, art.refs_path)
         except TraceError as exc:
             if exc.key is None:
@@ -369,7 +364,7 @@ class PipelineEngine:
         if self.decode_cache_bytes <= 0:
             return
         # a probe mutating a memoized batch would silently poison every
-        # later replay; freeze the arrays so it raises instead (v3 raw
+        # later replay; freeze the arrays so it raises instead (raw
         # chunks are mmap-backed and already read-only)
         for arr in (batch.addr, batch.is_write, batch.size, batch.oid):
             arr.setflags(write=False)
@@ -411,7 +406,7 @@ class PipelineEngine:
         up to ``max_rerecord_attempts`` retries under exponential backoff
         (transient ``OSError`` during the re-record is retried too).
         Each committed key is scrubbed once per engine instance; the
-        scrub is chunk-stored-CRC granular, so it does not decompress v3
+        scrub is chunk-stored-CRC granular, so it does not decompress
         payloads — decoding stays lazy for the replay itself. With
         ``self_heal=False`` the scrub still runs but corruption raises
         directly instead of quarantining and re-recording."""
@@ -452,23 +447,6 @@ class PipelineEngine:
     def _chunk_iter(self, h: _RunHandle) -> Iterator[RefBatch]:
         for i in range(h.reader.n_batches):
             yield self._chunk(h, i)
-
-    def _ref_offsets(self, h: _RunHandle) -> np.ndarray:
-        """Cumulative refs before each chunk (length ``n_batches + 1``).
-
-        Free from the v3 chunk index; for legacy npz archives the batch
-        lengths are only known by decoding, so they come through the
-        chunk memo (a window replay over an npz therefore decodes
-        everything once — exactly the cost v3 removes)."""
-        if h.ref_offsets is None:
-            offsets = getattr(h.reader, "ref_offsets", None)
-            if offsets is None:
-                lens = [len(self._chunk(h, i))
-                        for i in range(h.reader.n_batches)]
-                offsets = np.concatenate(
-                    ([0], np.cumsum(lens, dtype=np.int64)))
-            h.ref_offsets = np.asarray(offsets, dtype=np.int64)
-        return h.ref_offsets
 
     def replay(
         self,
@@ -527,7 +505,7 @@ class PipelineEngine:
         art = self.verified_artifact(spec)
         h = self._handle(art)
         self._verify_handle(h)
-        offsets = self._ref_offsets(h)
+        offsets = h.reader.ref_offsets
         total = int(offsets[-1])
         start = max(0, min(int(start_ref), total))
         end = max(start, min(start + max(0, int(n_refs)), total))

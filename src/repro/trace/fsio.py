@@ -1,26 +1,29 @@
 """Shared low-level plumbing: filesystem shim, durable writes, checksums.
 
 Both trace containers — the legacy monolithic ``.npz`` archives
-(:mod:`repro.trace.io`) and the chunked columnar v3 directories
+(:mod:`repro.trace.io`) and the chunked columnar v4 directories
 (:mod:`repro.trace.chunked`) — write through the same injectable
 :class:`OsFS` surface and checksum batch payloads with the same
 :func:`_batch_crc` formula. Keeping those here (below both container
-modules) lets the v3 code share them without importing the npz layer.
+modules) lets the v4 code share them without importing the npz layer.
 
 The per-batch payload CRC32 is deliberately **format-independent**: it
 covers the logical column arrays plus the iteration index, so the same
-batch stored in a v2 archive and in a v3 chunk carries the same
-checksum, and :func:`content_digest_from_crcs` turns the ordered CRC
-list into a run-level content digest that survives a v2→v3 migration
-bit-for-bit.
+batch stored in a v2 archive, a v3 chunk file or a v4 chunk carries
+the same checksum, and :func:`content_digest_from_crcs` turns the
+ordered CRC list into a run-level content digest that survives a
+migration to v4 bit-for-bit.
 
 Every durable write in the repository is composed from the four
 primitives at the bottom of this module — :func:`publish_file`,
 :func:`publish_dir`, :func:`ensure_dir_chain` and
 :func:`read_json_or_none` — so the one omission the crash checker kept
 finding (a rename or mkdir whose parent directory was never fsync'd)
-cannot be written by hand. ``tests/test_durable_write_lint.py`` rejects
-a direct ``os.replace``/``os.rename``/``os.fsync`` (or a shim
+cannot be written by hand. (A v4 trace container appends to its data
+file without syncs; ``close()`` fsyncs it once through the shim and
+then publishes the directory with :func:`publish_dir`.)
+``tests/test_durable_write_lint.py`` rejects a direct
+``os.replace``/``os.rename``/``os.fsync`` (or a shim
 ``replace``/``rename``) anywhere else in ``src/``.
 """
 
@@ -118,7 +121,7 @@ def content_digest_from_crcs(events_crc32: int,
     CRC32 in order. Because the payload CRC is the format-independent
     :func:`_batch_crc`, the digest is identical whether it was computed
     from decoded content, from a v2 archive's stored ``b{i}_crc``
-    members, or from a v3 chunk index — no decode required for the
+    members, or from a v4 chunk index — no decode required for the
     latter two.
     """
     h = hashlib.sha256()

@@ -6,15 +6,16 @@ trace-driven, so filtered (post-cache) traces still need a durable form.
 Two containers exist behind the :func:`TraceWriter` / :func:`TraceReader`
 dispatch:
 
-* **v3 (default)** — the chunked, compressed, columnar directory format
-  of :mod:`repro.trace.chunked`: one file per batch, a CRC-covered
-  index, memory-mapped zero-copy reads with lazy per-chunk
-  verification. Any path *not* ending in ``.npz`` gets a v3 container.
+* **v4 (default)** — the chunked, compressed, columnar directory format
+  of :mod:`repro.trace.chunked`: one append-only data file per trace, a
+  CRC-covered chunk index, memory-mapped zero-copy reads with lazy
+  per-chunk verification. Any path *not* ending in ``.npz`` gets a v4
+  container.
 * **v1/v2 (legacy)** — monolithic ``.npz`` archives holding one group
   of arrays per batch (:class:`NpzTraceWriter` / :class:`NpzTraceReader`
   below). Paths ending in ``.npz`` keep producing them, and existing
   archives always load read-only; ``nvscavenger trace migrate``
-  converts them to v3.
+  converts them (and v3 containers) to v4.
 
 Shared durability properties (both formats):
 
@@ -217,8 +218,8 @@ def TraceWriter(path: str | os.PathLike, fs: OsFS | None = None):
     """Open a trace writer for *path*, dispatching on the suffix.
 
     ``.npz`` paths keep producing the legacy monolithic v2 archive;
-    everything else gets a chunked columnar v3 container (the path is
-    normalized to end in ``.tv3``).
+    everything else gets a chunked columnar v4 container (the path is
+    normalized to end in ``.tv4``).
     """
     path = os.fspath(path)
     if path.endswith(".npz"):
@@ -229,8 +230,8 @@ def TraceWriter(path: str | os.PathLike, fs: OsFS | None = None):
 def TraceReader(path: str | os.PathLike):
     """Open a trace reader for *path*, sniffing the container format.
 
-    A directory holding an ``index.bin`` (or a stem whose ``.tv3``
-    sibling is one) opens as v3; anything else falls back to the npz
+    A directory holding an ``index.bin`` (or a stem whose ``.tv4``
+    sibling is one) opens as v4; anything else falls back to the npz
     reader, which raises the usual :class:`~repro.errors.TraceError`
     for missing or corrupt files.
     """

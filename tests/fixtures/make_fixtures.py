@@ -4,15 +4,28 @@ Run from the repo root::
 
     PYTHONPATH=src python tests/fixtures/make_fixtures.py
 
-The archives pin the *historical* on-disk formats — ``trace-v1.npz``
-(pre-checksum) and ``trace-v2.npz`` (per-batch CRC32) — so the v3
+The fixtures pin the *historical* on-disk formats — ``trace-v1.npz``
+(pre-checksum), ``trace-v2.npz`` (per-batch CRC32), and the v3
+containers ``trace-v3-raw.tv3/`` and ``trace-v3-zlib.tv3/`` (one file
+per chunk, every chunk stored raw or zlib-compressed) — so the v4
 migration path is exercised against bytes an old deployment actually
 wrote, not against whatever today's writer happens to emit. The batch
 content is seeded and must never change: ``test_trace_fixtures.py``
 asserts bit-identity through migration.
+
+The v3 writer no longer exists in this tree; commit 65d2842 is the last
+one that has it. Write the v3 containers with that commit's sources on
+the path::
+
+    mkdir /tmp/v3src && git archive 65d2842 src | tar -x -C /tmp/v3src
+    PYTHONPATH=/tmp/v3src/src python tests/fixtures/make_fixtures.py --v3
+
+Their raw chunks hold 700, 840 and 980 bytes, so two of the three need
+padding when migrated to v4.
 """
 
 import os
+import sys
 
 import numpy as np
 
@@ -59,12 +72,30 @@ def write_v2(path, batches):
     writer.close()
 
 
-def main():
+def write_v3(path, batches, codec):
+    from repro.trace import chunked
+
+    if not hasattr(chunked, "TV3_SUFFIX"):
+        sys.exit("make_fixtures --v3 needs the v3 writer: put the sources "
+                 "of commit 65d2842 on PYTHONPATH (see the module docstring)")
+    writer = chunked.ChunkedTraceWriter(path, codec=codec)
+    for b in batches:
+        writer.append(b)
+    writer.close()
+
+
+def main(argv):
     batches = fixture_batches()
+    if argv == ["--v3"]:
+        for codec in ("raw", "zlib"):
+            write_v3(os.path.join(HERE, f"trace-v3-{codec}.tv3"), batches,
+                     codec)
+        print("wrote trace-v3-raw.tv3 and trace-v3-zlib.tv3")
+        return
     write_v1(os.path.join(HERE, "trace-v1.npz"), batches)
     write_v2(os.path.join(HERE, "trace-v2.npz"), batches)
     print("wrote trace-v1.npz and trace-v2.npz")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -1,6 +1,7 @@
 """CLI hardening: argument validation and the trace --verify path."""
 
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -230,7 +231,7 @@ class TestTraceMigrate:
         assert "2 batches" in out and "32 references" in out
         assert main(["trace", dst, "--verify"]) == 0
         out = capsys.readouterr().out
-        assert "v3" in out and "all checksums verified" in out
+        assert "v4" in out and "all checksums verified" in out
 
     def test_existing_destination_is_usage_error(self, capsys, trace_path,
                                                  tmp_path):
@@ -249,7 +250,23 @@ class TestTraceMigrate:
         assert "trace" in capsys.readouterr().err
         import os
 
-        assert not os.path.exists(str(tmp_path / "out.tv3"))
+        assert not os.path.exists(str(tmp_path / "out.tv4"))
+
+    def test_v3_source_migrates_and_corrupt_one_exits_1(self, capsys,
+                                                       tmp_path):
+        fixture = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                               "fixtures", "trace-v3-zlib.tv3")
+        src = str(tmp_path / "old.tv3")
+        shutil.copytree(fixture, src)
+        assert main(["trace", "migrate", src, str(tmp_path / "ok")]) == 0
+        assert "3 batches" in capsys.readouterr().out
+        chunk = os.path.join(src, "chunk-000002.bin")
+        with open(chunk, "r+b") as fh:
+            fh.truncate(os.path.getsize(chunk) - 3)
+        assert main(["trace", "migrate", src, str(tmp_path / "out")]) == 1
+        assert "(batch 2)" in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "out.tv4"))
+        assert not os.path.exists(str(tmp_path / "out.tv4.tmp"))
 
     def test_missing_args_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -261,7 +278,7 @@ class TestCrashcheck:
     def test_list_names_every_protocol(self, capsys):
         assert main(["crashcheck", "--list"]) == 0
         out = capsys.readouterr().out
-        for name in ("artifact", "fence", "journal", "queue", "tv3"):
+        for name in ("artifact", "fence", "journal", "queue", "tv4"):
             assert name in out
 
     def test_unknown_protocol_exit_2(self, capsys):

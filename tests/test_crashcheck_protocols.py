@@ -30,7 +30,7 @@ def test_protocol_is_crash_consistent(name, tmp_path):
 
 def test_registry_names_every_protocol():
     assert sorted(PROTOCOLS) == ["artifact", "fence", "journal", "queue",
-                                 "tv3"]
+                                 "tv4"]
     for name, spec in PROTOCOLS.items():
         assert spec.name == name
         assert spec.description

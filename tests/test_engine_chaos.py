@@ -127,7 +127,7 @@ class TestCrashPointSweep:
         """Torn tmp-file writes (machine dies mid-write) never publish."""
         spec = make_spec()
         for i, name in enumerate(
-                ("chunk-000000.bin", "index.bin",
+                ("chunk-data.bin", "index.bin",
                  "events.json.tmp", "meta.json.tmp")):
             root = tmp_path / f"torn-{i}"
             fs = ChaosFS(faults=[IOFault("torn", op=f"write:{name}",
@@ -178,9 +178,9 @@ class TestErrorReturns:
         pending.abort()
         pending.writer.close()  # must be inert after discard()
         assert not os.path.exists(
-            os.path.join(pending.directory, "refs.tv3"))
+            os.path.join(pending.directory, "refs.tv4"))
         assert not os.path.exists(
-            os.path.join(pending.directory, "refs.tv3.tmp"))
+            os.path.join(pending.directory, "refs.tv4.tmp"))
         with pytest.raises(TraceError):
             pending.writer.append(None)
 
@@ -263,6 +263,21 @@ class TestSelfHealingReplay:
         healer.replay(spec, MemoryTraceProbe())
         assert healer.stats.delta(before)["quarantined"] == 0
 
+    def test_older_cache_container_is_quarantined_and_rerecorded(
+            self, tmp_path, reference_trace):
+        """An artifact an older cache wrote (its trace under
+        ``refs.tv3``) reads as corrupt: replay quarantines it and
+        re-records the spec."""
+        spec = make_spec()
+        root = tmp_path / "cache"
+        art = PipelineEngine(root=root).record(spec)
+        os.rename(art.refs_path, os.path.join(art.directory, "refs.tv3"))
+        healer = PipelineEngine(cache=ArtifactCache(root))
+        probe = MemoryTraceProbe()
+        healer.replay(spec, probe)
+        assert healer.stats.quarantined == healer.stats.rerecorded == 1
+        np.testing.assert_array_equal(addr_stream(probe), reference_trace)
+
     def test_events_corruption_detected_and_healed(self, tmp_path,
                                                    reference_trace):
         spec = make_spec()
@@ -329,11 +344,11 @@ class TestCorruptionIsLoud:
 
     @pytest.mark.parametrize("keep", [0, 10, 1000])
     def test_truncated_refs_raises(self, committed, keep):
-        """A truncated chunk file is caught before any decode (the
-        mapped size no longer matches the index's stored length)."""
+        """A truncated data file is caught before any decode (the
+        mapped size no longer covers the chunks the index declares)."""
         spec, cache = committed
         art = cache.get(spec)
-        chunk = os.path.join(art.refs_path, "chunk-000000.bin")
+        chunk = os.path.join(art.refs_path, "chunk-data.bin")
         data = open(chunk, "rb").read()
         assert keep < len(data)
         with open(chunk, "wb") as fh:

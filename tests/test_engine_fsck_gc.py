@@ -54,7 +54,7 @@ class TestFsck:
         shutil.copytree(cache.dir_for(spec.key), pristine)
         detected = 0
         trials = 0
-        for target in ("refs.tv3", "events.json", "meta.json"):
+        for target in ("refs.tv4", "events.json", "meta.json"):
             for seed in range(8):
                 shutil.rmtree(cache.dir_for(spec.key))
                 shutil.copytree(pristine, cache.dir_for(spec.key))
@@ -69,7 +69,7 @@ class TestFsck:
     def test_partial_does_not_make_cache_unclean(self, tmp_path):
         cache, specs = populate(tmp_path, n=1)
         pending = cache.begin(make_spec(seed=99))
-        pending.writer.close()  # refs.tv3 exists, no commit marker
+        pending.writer.close()  # refs.tv4 exists, no commit marker
         pending._finish()
         report = cache.fsck()
         assert report.clean  # the commit protocol already hides partials
@@ -96,6 +96,22 @@ class TestFsck:
         assert again.clean
         assert again.quarantined_dirs == 1
         assert not again.partial
+
+    def test_older_cache_container_is_corrupt(self, tmp_path):
+        """An artifact whose trace an older cache wrote (``refs.tv3``)
+        is reported corrupt, and ``--repair`` takes it out of service."""
+        cache, specs = populate(tmp_path, n=2)
+        old = cache.get(specs[0])
+        os.rename(old.refs_path, os.path.join(old.directory, "refs.tv3"))
+        report = cache.fsck()
+        assert not report.clean
+        assert [e.key for e in report.corrupt] == [specs[0].key]
+        assert "no v4 container" in report.corrupt[0].detail
+        report = cache.fsck(repair=True)
+        assert report.clean
+        assert report.corrupt[0].action == "quarantined"
+        assert cache.get(specs[0]) is None
+        assert len(report.ok) == 1
 
     def test_unrepaired_corruption_is_unclean(self, tmp_path):
         cache, specs = populate(tmp_path, n=1)
@@ -337,7 +353,7 @@ class TestStageEviction:
     def make_stage(cache, key, suffix, age_s=0.0):
         path = cache.dir_for(key) + STAGE_MARKER + suffix
         os.makedirs(path)
-        with open(os.path.join(path, "refs.tv3"), "w") as fh:
+        with open(os.path.join(path, "refs.tv4"), "w") as fh:
             fh.write("half-written stage payload")
         if age_s:
             t = time.time() - age_s

@@ -319,7 +319,7 @@ class TestFencedCommit:
         directory = cache.dir_for(spec.key)
         before = _snapshot(directory)
         assert {"meta.json", "events.json"} <= set(before)
-        assert any(name.startswith("refs.tv3") for name in before)
+        assert any(name.startswith("refs.tv4") for name in before)
         lock = KeyLock(cache.lock_for(spec.key).path).acquire()
         with pytest.raises(FencedOutError):
             PendingArtifact(spec.key, directory, fs=cache.fs, lock=lock,

@@ -1,4 +1,4 @@
-"""Trace format v3: chunked columnar container, lazy mmap reader."""
+"""Trace format v4: chunked columnar container, lazy mmap reader."""
 
 import os
 import zlib
@@ -10,12 +10,13 @@ from repro.errors import TraceError
 from repro.trace.chunked import (
     CODEC_RAW,
     CODEC_ZLIB,
+    DATA_FILE,
     INDEX_FILE,
     ChunkedTraceReader,
     ChunkedTraceWriter,
     is_chunked,
     migrate_trace,
-    tv3_path,
+    tv4_path,
 )
 from repro.trace.fsio import _batch_crc, content_digest_from_crcs
 from repro.trace.io import NpzTraceWriter, TraceReader, TraceWriter
@@ -66,18 +67,18 @@ def container(tmp_path, batches):
 
 # ----------------------------------------------------------------------
 class TestPaths:
-    def test_tv3_path_appends_suffix_once(self):
-        assert tv3_path("t") == "t.tv3"
-        assert tv3_path("t.tv3") == "t.tv3"
+    def test_tv4_path_appends_suffix_once(self):
+        assert tv4_path("t") == "t.tv4"
+        assert tv4_path("t.tv4") == "t.tv4"
 
     def test_is_chunked_accepts_stem_and_dir(self, container):
-        stem = container[: -len(".tv3")]
+        stem = container[: -len(".tv4")]
         assert is_chunked(container) == container
         assert is_chunked(stem) == container
         assert is_chunked(container + "-nope") is None
 
     def test_factory_dispatch(self, tmp_path, batches):
-        # suffix-less → v3 container; .npz → legacy monolith
+        # suffix-less → v4 container; .npz → legacy monolith
         v3 = TraceWriter(str(tmp_path / "a"))
         assert isinstance(v3, ChunkedTraceWriter)
         v3.append(batches[0])
@@ -86,7 +87,7 @@ class TestPaths:
         assert isinstance(npz, NpzTraceWriter)
         npz.append(batches[0])
         npz.close()
-        assert TraceReader(str(tmp_path / "a")).version == 3
+        assert TraceReader(str(tmp_path / "a")).version == 4
         assert TraceReader(str(tmp_path / "b.npz")).version == 2
 
 
@@ -105,6 +106,17 @@ class TestRoundtrip:
             assert r.n_batches == 0 and r.total_refs == 0
             assert list(r) == []
 
+    def test_zero_chunk_container_opens_without_mapping(self, tmp_path):
+        with ChunkedTraceWriter(str(tmp_path / "z")):
+            pass
+        data = os.path.join(tv4_path(str(tmp_path / "z")), DATA_FILE)
+        assert os.path.getsize(data) == 0  # mmap would refuse it
+        with ChunkedTraceReader(str(tmp_path / "z")) as r:
+            assert r.verify_stored() == 0
+            assert r.verify() == 0
+            assert list(r) == [] and r.payload_crcs() == []
+            assert r.n_mapped == 0
+
     def test_overwrite_replaces_existing_container(self, container):
         with ChunkedTraceWriter(container) as w:
             w.append(make_batch(10, 5))
@@ -121,12 +133,12 @@ class TestRoundtrip:
         w2 = ChunkedTraceWriter(str(tmp_path / "u"))
         w2.append(make_batch(4))
         w2.discard()
-        assert not os.path.exists(tv3_path(str(tmp_path / "u")))
-        assert not os.path.exists(tv3_path(str(tmp_path / "u")) + ".tmp")
+        assert not os.path.exists(tv4_path(str(tmp_path / "u")))
+        assert not os.path.exists(tv4_path(str(tmp_path / "u")) + ".tmp")
         with pytest.raises(TraceError, match="closed"):
             w2.append(make_batch(4))
         w2.close()  # inert, resurrects nothing
-        assert not os.path.exists(tv3_path(str(tmp_path / "u")))
+        assert not os.path.exists(tv4_path(str(tmp_path / "u")))
 
 
 class TestCodec:
@@ -154,6 +166,24 @@ class TestCodec:
         with pytest.raises(ValueError):
             got.addr[0] = 1
         assert_batches_equal(batch, got)
+
+    def test_raw_chunks_with_odd_counts_decode_aligned(self, tmp_path):
+        """Every stored chunk is padded to 8 bytes, so a raw chunk that
+        follows one of an odd reference count still starts aligned and
+        every column decodes as an aligned zero-copy view."""
+        batches = [make_batch(n, i, seed=i)
+                   for i, n in enumerate((5, 7, 3, 9))]
+        path = str(tmp_path / "odd")
+        with ChunkedTraceWriter(path, codec="raw") as w:
+            for b in batches:
+                w.append(b)
+        with ChunkedTraceReader(path) as r:
+            for orig, got in zip(batches, r):
+                assert_batches_equal(orig, got)
+                for col in (got.addr, got.oid, got.size, got.is_write):
+                    assert col.flags.aligned
+                    assert not col.flags.writeable  # still a map view
+            assert [rec.stored_len % 8 for rec in r.records] == [0] * 4
 
     def test_unknown_codec_rejected(self, tmp_path):
         with pytest.raises(TraceError, match="codec"):
@@ -196,8 +226,14 @@ class TestCorruption:
             fh.seek(offset)
             fh.write(bytes([byte[0] ^ 0x10]))
 
+    @staticmethod
+    def _chunk_start(container, i):
+        with ChunkedTraceReader(container) as r:
+            return sum(rec.stored_len for rec in r.records[:i])
+
     def test_chunk_bitflip_detected_with_batch_index(self, container):
-        self._flip(os.path.join(container, "chunk-000002.bin"), 5)
+        self._flip(os.path.join(container, DATA_FILE),
+                   self._chunk_start(container, 2) + 5)
         with ChunkedTraceReader(container) as r:
             r.read_batch(0)  # intact chunks still decode
             with pytest.raises(TraceError, match="checksum") as exc:
@@ -216,15 +252,34 @@ class TestCorruption:
         with pytest.raises(TraceError, match="index"):
             ChunkedTraceReader(container)
 
-    def test_truncated_chunk_reports_truncation(self, container):
-        chunk = os.path.join(container, "chunk-000001.bin")
-        size = os.path.getsize(chunk)
-        with open(chunk, "r+b") as fh:
-            fh.truncate(size - 1)
+    def test_truncated_chunk_reports_truncation(self, container, batches):
+        last = len(batches) - 1
+        with open(os.path.join(container, DATA_FILE), "r+b") as fh:
+            fh.truncate(self._chunk_start(container, last) + 5)
         with ChunkedTraceReader(container) as r:
             with pytest.raises(TraceError, match="truncated") as exc:
-                r.read_batch(1)
-            assert exc.value.batch_index == 1
+                r.read_batch(last)
+            assert exc.value.batch_index == last
+            for i in range(last):  # chunks wholly inside still decode
+                assert_batches_equal(batches[i], r.read_batch(i))
+
+    def test_data_file_truncated_to_zero_fails_chunk_0(self, container):
+        with open(os.path.join(container, DATA_FILE), "r+b") as fh:
+            fh.truncate(0)
+        with ChunkedTraceReader(container) as r:
+            with pytest.raises(TraceError, match="truncated") as exc:
+                r.verify_stored()
+            assert exc.value.batch_index == 0
+
+    def test_data_file_longer_than_index_is_refused(self, container):
+        """No CRC would cover bytes past the last chunk."""
+        with open(os.path.join(container, DATA_FILE), "ab") as fh:
+            fh.write(bytes(8))
+        with ChunkedTraceReader(container) as r:
+            with pytest.raises(TraceError, match="declares"):
+                r.read_batch(0)
+            with pytest.raises(TraceError, match="declares"):
+                r.verify_stored()
 
     def test_missing_container_is_trace_error(self, tmp_path):
         with pytest.raises(TraceError, match="cannot open"):
@@ -232,7 +287,7 @@ class TestCorruption:
 
 
 class TestMigration:
-    def test_v2_to_v3_is_bit_identical_batch_by_batch(self, tmp_path, batches):
+    def test_v2_to_v4_is_bit_identical_batch_by_batch(self, tmp_path, batches):
         src = str(tmp_path / "old.npz")
         with TraceWriter(src) as w:
             for b in batches:
@@ -242,7 +297,7 @@ class TestMigration:
         assert n == len(batches)
         assert total == sum(len(b) for b in batches)
         with TraceReader(src) as old, TraceReader(dst) as new:
-            assert new.version == 3
+            assert new.version == 4
             for a, b in zip(old, new):
                 assert_batches_equal(a, b)
 
@@ -258,7 +313,7 @@ class TestMigration:
             assert (content_digest_from_crcs(events_crc, old.payload_crcs())
                     == content_digest_from_crcs(events_crc, new.payload_crcs()))
 
-    def test_v3_to_v3_recompression(self, tmp_path, batches):
+    def test_v4_to_v4_recompression(self, tmp_path, batches):
         src = str(tmp_path / "a")
         with ChunkedTraceWriter(src, codec="raw") as w:
             for b in batches:
@@ -276,5 +331,5 @@ class TestMigration:
             fh.write(b"not an archive")
         with pytest.raises(TraceError):
             migrate_trace(src, str(tmp_path / "out"))
-        assert not os.path.exists(tv3_path(str(tmp_path / "out")))
-        assert not os.path.exists(tv3_path(str(tmp_path / "out")) + ".tmp")
+        assert not os.path.exists(tv4_path(str(tmp_path / "out")))
+        assert not os.path.exists(tv4_path(str(tmp_path / "out")) + ".tmp")
