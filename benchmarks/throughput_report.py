@@ -6,11 +6,10 @@ Measures, on the same inputs the pytest-benchmark suite uses:
   :class:`CacheHierarchy` refs/sec (and their speedup, with a
   differential check that the two produce identical statistics);
 * pipeline-engine ``record`` (live instrumented execution) vs ``replay``
-  (cached artifact) refs/sec — the *cold* replay (v3 container mapped,
+  (cached artifact) refs/sec — the *cold* replay (v4 container mapped,
   CRC-swept, and decoded from disk) with its per-phase breakdown
-  (``map`` / ``verify`` / ``decode`` / ``consume``), the *warm* replay
-  (per-chunk decode memo), and a ``replay_window`` probe showing a 10%
-  window decodes only the chunks it overlaps;
+  (``map`` / ``verify`` / ``decode`` / ``consume``), and the *warm*
+  replay (per-chunk decode memo);
 * experiment-suite wall-clock under the :mod:`repro.sched` work queue,
   ``--jobs 1`` vs ``--jobs 4`` on an empty shared cache. The speedup is
   hardware-dependent: on a single-CPU runner the parallel run *loses*
@@ -107,11 +106,8 @@ def cache_section() -> dict:
     }
 
 
-#: Refs per v3 chunk in the engine bench — small enough that a 10%
-#: window spans only a few of the ~50 chunks the spec records.
+#: Refs per chunk in the engine bench (~50 chunks for the spec below).
 ENGINE_CHUNK_REFS = 1_024
-#: The windowed-replay bench decodes this fraction of the trace.
-WINDOW_FRACTION = 0.10
 
 
 def engine_section(tmp_root: str) -> dict:
@@ -164,16 +160,6 @@ def engine_section(tmp_root: str) -> dict:
         for name, st in phase_eng.stats.stages.items()
         if name in ("map", "verify", "decode", "consume")
     }
-
-    # windowed replay: a WINDOW_FRACTION slice from the middle of the
-    # stream must decode only the chunks the window overlaps
-    win_eng = PipelineEngine(root=replay_root)
-    window_refs = int(refs * WINDOW_FRACTION)
-    win_eng.replay_window(spec, Probe(), refs // 2, window_refs)
-    window_chunks = win_eng.stats.chunks_decoded
-    chunk_fraction = window_chunks / total_chunks if total_chunks else 0.0
-    if window_chunks and win_eng.stats.window_replays != 1:
-        raise SystemExit("windowed replay did not report via engine stats")
     return {
         "refs": refs,
         "chunk_refs": ENGINE_CHUNK_REFS,
@@ -184,13 +170,6 @@ def engine_section(tmp_root: str) -> dict:
         "warm_replay_refs_per_s": round(refs / t_warm),
         "warm_replay_speedup_vs_record": round(t_record / t_warm, 2),
         "cold_replay_phases": phases,
-        "replay_window": {
-            "window_fraction": WINDOW_FRACTION,
-            "window_refs": window_refs,
-            "chunks_decoded": window_chunks,
-            "chunks_decoded_fraction": round(chunk_fraction, 3),
-            "chunks_verified": win_eng.stats.chunks_verified,
-        },
     }
 
 
@@ -404,12 +383,6 @@ def main(argv: list[str] | None = None) -> int:
     if warm < 5.0:
         print(f"WARNING: warm replay speedup {warm}x below the 5x target",
               file=sys.stderr)
-    window = report["engine"]["replay_window"]
-    if window["chunks_decoded_fraction"] > 0.15:
-        print(
-            f"WARNING: {WINDOW_FRACTION:.0%} window decoded "
-            f"{window['chunks_decoded_fraction']:.1%} of chunks "
-            f"(>15% target)", file=sys.stderr)
     sched = report["scheduler"]
     if sched["speedup"] < 2.0:
         print(

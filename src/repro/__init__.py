@@ -33,7 +33,7 @@ from repro.nvram import (
 )
 from repro.powersim import MemorySystem, simulate_power, normalized_power
 from repro.perfsim import PerformanceSimulator, IntervalCoreModel
-from repro.hybrid import StaticPlacer, DynamicMigrator, HybridEnergyModel
+from repro.hybrid import StaticPlacer, HybridEnergyModel
 from repro.resilience import (
     CheckpointEngine,
     FaultInjector,
@@ -69,7 +69,6 @@ __all__ = [
     "PerformanceSimulator",
     "IntervalCoreModel",
     "StaticPlacer",
-    "DynamicMigrator",
     "HybridEnergyModel",
     "CheckpointEngine",
     "FaultInjector",

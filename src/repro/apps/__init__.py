@@ -21,13 +21,6 @@ from repro.apps.variants import (
     S3DLargeGrid,
     CAMHighResolution,
 )
-from repro.apps.parallel import (
-    ParallelRunSummary,
-    RankResult,
-    run_parallel,
-    aggregate_footprint_bytes,
-    rank_object_agreement,
-)
 
 __all__ = [
     "ModelApp",
@@ -40,11 +33,6 @@ __all__ = [
     "S3D",
     "APPLICATIONS",
     "create_app",
-    "ParallelRunSummary",
-    "RankResult",
-    "run_parallel",
-    "aggregate_footprint_bytes",
-    "rank_object_agreement",
     "VARIANTS",
     "VARIANT_OF",
     "Nek5000MovingBoundary",

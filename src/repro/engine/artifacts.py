@@ -697,10 +697,6 @@ class GcReport:
     removed_partial: int = 0
 
     @property
-    def freed_bytes(self) -> int:
-        return self.before_bytes - self.after_bytes
-
-    @property
     def over_budget(self) -> bool:
         return self.after_bytes > self.budget_bytes
 

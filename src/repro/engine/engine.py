@@ -9,17 +9,14 @@ return the committed artifact without executing anything.
 ``replay(spec, probes)`` re-delivers a recorded run into any probe set —
 the NV-SCAVENGER analyzers, the cache simulator, a locality analyzer —
 so one execution feeds arbitrarily many consumers.
-``replay_window(spec, probes, start_ref, n_refs)`` delivers just a slice
-of the reference stream, using the v4 chunk index to decode only the
-chunks the window touches.
 
 Every stage is instrumented: per-phase wall time (``map`` the container,
 ``verify`` stored checksums, ``decode`` chunks, ``consume`` in probes),
 reference counts and derived refs/sec live in
 :attr:`PipelineEngine.stats`, alongside the ``app_runs`` /
 ``cache_hits`` / ``replays`` / ``chunks_verified`` / ``chunks_decoded``
-counters the suite-level "each spec executes once" guarantee — and the
-window-replay decode bound — are tested against.
+counters the suite-level "each spec executes once" guarantee is tested
+against.
 
 Replay is **self-healing**: before an artifact's first replay through an
 engine instance, both JSON files and every chunk's stored CRC32 are
@@ -55,8 +52,6 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
-
-import numpy as np
 
 from repro.trace.chunked import ChunkedTraceReader
 from repro.trace.record import RefBatch
@@ -106,15 +101,12 @@ class EngineStats:
     chunks_verified: int = 0
     #: chunks decoded into arrays (memo misses — the expensive path)
     chunks_decoded: int = 0
-    #: windowed partial replays served via the chunk index
-    window_replays: int = 0
     stages: dict[str, StageStats] = field(
         default_factory=lambda: {n: StageStats() for n in STAGE_NAMES}
     )
 
     _COUNTERS = ("app_runs", "cache_hits", "replays", "quarantined",
-                 "rerecorded", "chunks_verified", "chunks_decoded",
-                 "window_replays")
+                 "rerecorded", "chunks_verified", "chunks_decoded")
 
     def snapshot(self) -> dict:
         """Flat machine-readable view (used for per-experiment deltas)."""
@@ -149,8 +141,7 @@ class EngineStats:
             f"replays: {self.replays}   quarantined: {self.quarantined}   "
             f"re-recorded: {self.rerecorded}",
             f"chunks verified: {self.chunks_verified}   "
-            f"chunks decoded: {self.chunks_decoded}   "
-            f"window replays: {self.window_replays}",
+            f"chunks decoded: {self.chunks_decoded}",
             f"{'stage':8s} {'calls':>6s} {'wall (s)':>9s} {'refs':>12s} {'refs/sec':>12s}",
         ]
         for name, st in self.stages.items():
@@ -483,60 +474,4 @@ class PipelineEngine:
         consume.wall_s += max(0.0, wall - (decode.wall_s - decode_before))
         consume.refs += refs
         self.stats.replays += 1
-        return art
-
-    def replay_window(
-        self,
-        spec: RunSpec,
-        probes: Probe | Iterable[Probe],
-        start_ref: int,
-        n_refs: int,
-    ) -> Artifact:
-        """Replay only refs ``[start_ref, start_ref + n_refs)`` into
-        *probes*, decoding just the chunks the window overlaps.
-
-        The window is located via the chunk index (binary search over
-        cumulative ref offsets); boundary chunks are trimmed with
-        zero-copy array slices. Batches are delivered in stream order
-        with their original iteration tags, followed by ``on_finish()``;
-        the discrete event stream is *not* replayed — windows are for
-        reference-stream consumers (cache sims, locality analyzers), not
-        allocation-lifecycle probes. Out-of-range windows clamp."""
-        art = self.verified_artifact(spec)
-        h = self._handle(art)
-        self._verify_handle(h)
-        offsets = h.reader.ref_offsets
-        total = int(offsets[-1])
-        start = max(0, min(int(start_ref), total))
-        end = max(start, min(start + max(0, int(n_refs)), total))
-        probe = probes if isinstance(probes, Probe) else FanoutProbe(list(probes))
-        decode = self.stats.stages["decode"]
-        decode_before = decode.wall_s
-        t0 = time.perf_counter()
-        if end > start:
-            first = int(np.searchsorted(offsets, start, side="right")) - 1
-            last = int(np.searchsorted(offsets, end, side="left"))
-            for i in range(first, last):
-                b = self._chunk(h, i)
-                lo = max(0, start - int(offsets[i]))
-                hi = min(len(b), end - int(offsets[i]))
-                if lo > 0 or hi < len(b):
-                    # contiguous slices of the decoded columns — views,
-                    # not copies (RefBatch keeps contiguous arrays as-is)
-                    b = RefBatch(addr=b.addr[lo:hi], is_write=b.is_write[lo:hi],
-                                 size=b.size[lo:hi], oid=b.oid[lo:hi],
-                                 iteration=b.iteration)
-                probe.on_batch(b)
-        probe.on_finish()
-        wall = time.perf_counter() - t0
-        refs = end - start
-        stage = self.stats.stages["replay"]
-        stage.calls += 1
-        stage.wall_s += wall
-        stage.refs += refs
-        consume = self.stats.stages["consume"]
-        consume.calls += 1
-        consume.wall_s += max(0.0, wall - (decode.wall_s - decode_before))
-        consume.refs += refs
-        self.stats.window_replays += 1
         return art

@@ -2,14 +2,14 @@
 
 The paper's analysis exists to drive data placement in a side-by-side
 DRAM/NVRAM system. This package turns NV-SCAVENGER classifications into
-object placements (static), implements a Ramos-style dynamic page-migration
-policy as the point of comparison for the variance analysis, and accounts
-the resulting memory energy.
+object placements (static) and accounts the resulting memory energy. The
+Ramos-style dynamic page migration it is compared against is the
+``ramos`` policy of :mod:`repro.policies`, priced on the same cost model
+as every other placement policy.
 """
 
 from repro.hybrid.pagemap import PageMap, MemoryPool
 from repro.hybrid.placement import StaticPlacer, PlacementPlan
-from repro.hybrid.migration import DynamicMigrator, MigrationStats
 from repro.hybrid.energy import HybridEnergyModel, EnergyReport
 from repro.hybrid.dramcache import DRAMCacheModel, HorizontalModel, HierarchicalResult, HorizontalResult
 from repro.hybrid.checkpoint import (
@@ -26,8 +26,6 @@ __all__ = [
     "MemoryPool",
     "StaticPlacer",
     "PlacementPlan",
-    "DynamicMigrator",
-    "MigrationStats",
     "HybridEnergyModel",
     "EnergyReport",
     "DRAMCacheModel",

@@ -41,9 +41,6 @@ class PageMap:
         self.migrations = 0
 
     # ------------------------------------------------------------------
-    def page_of(self, addr: int) -> int:
-        return addr >> self._shift
-
     def pages_of_range(self, base: int, size: int) -> np.ndarray:
         """Page numbers covering ``[base, base+size)``.
 

@@ -59,11 +59,6 @@ class HeapAllocator:
         """High-water mark of live bytes."""
         return self._peak_bytes
 
-    @property
-    def live_blocks(self) -> dict[int, int]:
-        """Read-only view of live allocations (base -> size)."""
-        return dict(self._live)
-
     def size_of(self, base: int) -> int:
         """Size of the live allocation at *base*."""
         try:

@@ -19,6 +19,7 @@ from repro.policies.zoo import (
     EnduranceAware,
     NoMigration,
     PredictiveMigration,
+    RamosMigration,
     StaticOracle,
     ThresholdMigration,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "ThresholdMigration",
     "PredictiveMigration",
     "EnduranceAware",
+    "RamosMigration",
     "LINE_BYTES",
     "PageTrace",
     "PolicyCellStats",

@@ -1,6 +1,6 @@
 """Scalar reference implementation of policy evaluation.
 
-This is the original dict-based evaluator and the five decision rules,
+This is the original dict-based evaluator and the six decision rules,
 written as per-page Python loops over a live
 :class:`~repro.hybrid.pagemap.PageMap`: every batch is charged through
 ``PageMap.pool_of_batch``, wear is a ``{page: writes}`` dict, and each
@@ -375,6 +375,78 @@ class EnduranceAware(PlacementPolicy):
                 del self._w[page]
 
 
+class RamosMigration(PlacementPolicy):
+    """Dynamic page migration after Ramos, Gorbatov & Bianchini: the
+    epoch monitor's per-page dict walk, counting object pages only."""
+
+    name = "ramos"
+    summary = "Ramos-style monitor: write-hot pages to DRAM, read-popular/read-only to NVM"
+
+    def __init__(self, write_hot: float = 64.0, read_popular: float = 256.0,
+                 decay: float = 0.5,
+                 max_migrations_per_epoch: int | None = None) -> None:
+        if not (0 <= decay < 1):
+            raise PolicyError("decay must be in [0, 1)")
+        if write_hot <= 0 or read_popular <= 0:
+            raise PolicyError("thresholds must be positive")
+        if max_migrations_per_epoch is not None and max_migrations_per_epoch < 0:
+            raise PolicyError("max_migrations_per_epoch must be >= 0")
+        super().__init__(write_hot=write_hot, read_popular=read_popular,
+                         decay=decay,
+                         max_migrations_per_epoch=max_migrations_per_epoch)
+        self.write_hot = write_hot
+        self.read_popular = read_popular
+        self.decay = decay
+        self.max_migrations_per_epoch = max_migrations_per_epoch
+        self._write_score: dict[int, float] = {}
+        self._read_score: dict[int, float] = {}
+        self._object_pages: set[int] = set()
+
+    def bind(self, ctx) -> None:
+        self._write_score.clear()
+        self._read_score.clear()
+        self._object_pages = {int(p) for o in ctx.objects
+                              for p in ctx.page_map.pages_of_range(o.base, o.size)}
+        super().bind(ctx)
+
+    def prepare(self) -> None:
+        self.place_all(MemoryPool.NVRAM)
+
+    def observe(self, batch: RefBatch) -> None:
+        pb = self.ctx.page_bytes
+        w = batch.is_write
+        for addrs, score in ((batch.addr[w], self._write_score),
+                             (batch.addr[~w], self._read_score)):
+            for p, c in zip(*self.page_counts(addrs, pb)):
+                if p in self._object_pages:
+                    score[p] = score.get(p, 0.0) + c
+
+    def end_epoch(self, iteration: int) -> None:
+        # sorted: set iteration order is salted per process, and the
+        # migration budget below must cut the same pages on every host
+        pages = sorted(set(self._write_score) | set(self._read_score))
+        budget = self.max_migrations_per_epoch
+        if budget is not None and len(pages) > budget:
+            # bounded migration engine: a seeded sample of the candidates
+            idx = self.ctx.rng.choice(len(pages), size=budget, replace=False)
+            pages = [pages[i] for i in sorted(idx.tolist())]
+        for p in pages:
+            wscore = self._write_score.get(p, 0.0)
+            rscore = self._read_score.get(p, 0.0)
+            if wscore >= self.write_hot:
+                # frequently-written page: belongs in DRAM
+                self.migrate(p, MemoryPool.DRAM)
+            elif rscore >= self.read_popular or (rscore > 0 and wscore == 0):
+                # read-popular / read-only page: belongs in NVRAM
+                self.migrate(p, MemoryPool.NVRAM)
+        # exponential decay so stale behavior ages out
+        for score in (self._write_score, self._read_score):
+            for p in list(score):
+                score[p] *= self.decay
+                if score[p] < 1e-6:
+                    del score[p]
+
+
 def evaluate_policy(
     policy: PlacementPolicy,
     trace: list[RefBatch],
@@ -483,7 +555,8 @@ def evaluate_policy(
 #: name -> reference policy class (the production registry's names)
 POLICIES: dict[str, type[PlacementPolicy]] = {
     cls.name: cls for cls in (NoMigration, StaticOracle, ThresholdMigration,
-                              PredictiveMigration, EnduranceAware)
+                              PredictiveMigration, EnduranceAware,
+                              RamosMigration)
 }
 
 

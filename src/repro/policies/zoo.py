@@ -1,14 +1,15 @@
 """The concrete policies.
 
-Five strategies spanning the design space the related work argues about:
+Six strategies spanning the design space the related work argues about:
 a do-nothing baseline, the paper's static NV-SCAVENGER plan, reactive
-threshold migration with hysteresis, EWMA-predictive migration, and a
-wear-budgeted endurance guard. Each is ~30 lines: the ABC carries the
-shared accounting, a policy only encodes its decision rule — as array
-expressions over the page index, one score slot per object page. Every
-page's decision depends only on its own scores, pool and wear, so a rule
-applied to the whole index at once decides exactly what a page-by-page
-walk would.
+threshold migration with hysteresis, EWMA-predictive migration, a
+wear-budgeted endurance guard, and Ramos-style dynamic page migration.
+Each is ~30 lines: the ABC carries the shared accounting, a policy only
+encodes its decision rule — as array expressions over the page index,
+one score slot per object page. Every page's decision depends only on
+its own scores, pool and wear (a migration budget only picks which pages
+are decided), so a rule applied to the whole index at once decides
+exactly what a page-by-page walk would.
 """
 
 from __future__ import annotations
@@ -217,3 +218,68 @@ class EnduranceAware(PlacementPolicy):
             (self._w >= self.write_hot) & (self.ctx.pool == MemoryPool.NVRAM)), MemoryPool.DRAM)
         self._w *= self.decay
         self._w[self._w < 1e-6] = 0.0
+
+
+@register_policy
+class RamosMigration(PlacementPolicy):
+    """Dynamic page migration after Ramos, Gorbatov & Bianchini.
+
+    The memory controller monitors each page's write intensity and
+    popularity as exponentially decayed scores; at every epoch boundary
+    it moves frequently-written pages to DRAM and read-popular or
+    read-only pages to NVM — the dynamic counterpart the paper's §VII-C
+    variance analysis argues is mostly unnecessary. A bounded migration
+    engine (``max_migrations_per_epoch``) decides only a seeded sample of
+    the epoch's candidates, score-agnostic like a controller scanning a
+    window.
+    """
+
+    name = "ramos"
+    summary = "Ramos-style monitor: write-hot pages to DRAM, read-popular/read-only to NVM"
+
+    def __init__(self, write_hot: float = 64.0, read_popular: float = 256.0,
+                 decay: float = 0.5,
+                 max_migrations_per_epoch: int | None = None) -> None:
+        if not (0 <= decay < 1):
+            raise PolicyError("decay must be in [0, 1)")
+        if write_hot <= 0 or read_popular <= 0:
+            raise PolicyError("thresholds must be positive")
+        if max_migrations_per_epoch is not None and max_migrations_per_epoch < 0:
+            raise PolicyError("max_migrations_per_epoch must be >= 0")
+        super().__init__(write_hot=write_hot, read_popular=read_popular,
+                         decay=decay,
+                         max_migrations_per_epoch=max_migrations_per_epoch)
+        self.write_hot = write_hot
+        self.read_popular = read_popular
+        self.decay = decay
+        self.max_migrations_per_epoch = max_migrations_per_epoch
+
+    def bind(self, ctx) -> None:
+        n = len(ctx.pages)
+        self._w = np.zeros(n)
+        self._r = np.zeros(n)
+        super().bind(ctx)
+
+    def prepare(self) -> None:
+        self.place_all(MemoryPool.NVRAM)
+
+    def observe(self, pos, writes, reads) -> None:
+        self._w[pos] += writes
+        self._r[pos] += reads
+
+    def end_epoch(self, iteration: int) -> None:
+        w, r = self._w, self._r
+        # index order is page order, so one seed samples the same pages
+        # as a sorted walk over the scored pages would
+        cand = np.flatnonzero((w > 0) | (r > 0))
+        budget = self.max_migrations_per_epoch
+        if budget is not None and len(cand) > budget:
+            cand = cand[self.ctx.rng.choice(len(cand), size=budget, replace=False)]
+        wc, rc = w[cand], r[cand]
+        hot = wc >= self.write_hot
+        cold = ~hot & ((rc >= self.read_popular) | ((rc > 0) & (wc == 0)))
+        self.migrate(cand[hot], MemoryPool.DRAM)
+        self.migrate(cand[cold], MemoryPool.NVRAM)
+        for score in (w, r):
+            score *= self.decay
+            score[score < 1e-6] = 0.0

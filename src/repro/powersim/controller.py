@@ -134,10 +134,7 @@ class MemoryController:
         self.row_policy = row_policy
         self.mapping = AddressMapping(device, scheme=mapping_scheme)
         self.banks = BankArray(device.total_banks)
-        self.ranks = [
-            Rank(r, self.banks, r * device.n_banks, device.n_banks)
-            for r in range(device.n_ranks)
-        ]
+        self.ranks = [Rank(r) for r in range(device.n_ranks)]
         self.stats = ControllerStats()
         self._now = 0.0  # channel cursor, ns
         self._prev_write = False

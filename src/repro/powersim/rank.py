@@ -1,10 +1,10 @@
 """Rank module: services commands, tracks per-rank activity windows.
 
 In DRAMSim2 the rank module handles command transactions issued by the
-controller and powers banks up and down; here it owns the slice of the
-bank array belonging to one rank and accounts how long the rank was
-actively bursting (needed to split background power into active-standby
-and idle components, and to attribute per-rank utilization).
+controller and powers banks up and down; here it accounts how long the
+rank was actively bursting (needed to split background power into
+active-standby and idle components, and to attribute per-rank
+utilization).
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.powersim.bankstate import BankArray
 
 
 @dataclass
@@ -27,22 +25,11 @@ class RankActivity:
 
 
 class Rank:
-    """One rank: a window onto the shared bank array plus activity counters."""
+    """One rank's activity counters."""
 
-    def __init__(self, rank_id: int, banks: BankArray, first_bank: int, n_banks: int) -> None:
+    def __init__(self, rank_id: int) -> None:
         self.rank_id = rank_id
-        self._banks = banks
-        self._first = first_bank
-        self._n = n_banks
         self.activity = RankActivity()
-
-    @property
-    def bank_slice(self) -> slice:
-        return slice(self._first, self._first + self._n)
-
-    def open_rows(self) -> list[int]:
-        """Open row per bank of this rank (-1 = precharged)."""
-        return list(self._banks.open_row[self.bank_slice])
 
     def record_access(self, is_write: bool, burst_ns: float, activated: bool) -> None:
         if is_write:

@@ -20,7 +20,6 @@ from repro.scavenger.variance import VarianceAnalysis, compute_variance
 from repro.scavenger.usage import UsageAnalysis, compute_usage
 from repro.scavenger.classify import Placement, NVRAMClass, classify_objects
 from repro.scavenger.locality import LocalityAnalyzer, LocalityScores
-from repro.scavenger.offline import RawTraceRecorder, OfflineAnalyzer, OfflineResult
 from repro.scavenger.compare import (
     compare_results,
     ComparisonReport,
@@ -58,9 +57,6 @@ __all__ = [
     "ScavengerResult",
     "LocalityAnalyzer",
     "LocalityScores",
-    "RawTraceRecorder",
-    "OfflineAnalyzer",
-    "OfflineResult",
     "compare_results",
     "ComparisonReport",
     "ObjectDelta",

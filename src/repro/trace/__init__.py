@@ -7,16 +7,12 @@ numpy arrays, never per-reference Python objects — so every consumer
 
 from repro.trace.record import AccessType, RefBatch
 from repro.trace.buffer import TraceBuffer
-from repro.trace.stream import concat_batches, filter_batch, split_by_predicate
 from repro.trace.io import TraceWriter, TraceReader, write_trace, read_trace
 
 __all__ = [
     "AccessType",
     "RefBatch",
     "TraceBuffer",
-    "concat_batches",
-    "filter_batch",
-    "split_by_predicate",
     "TraceWriter",
     "TraceReader",
     "write_trace",

@@ -337,10 +337,6 @@ class ChunkedTraceReader:
                 f"convert it with `nvscavenger trace migrate`")
         self.version = version
         self.n_chunks = self.n_batches = len(self.records)
-        #: cumulative reference offsets; chunk i covers
-        #: ``[ref_offsets[i], ref_offsets[i+1])`` — the window index.
-        self.ref_offsets = np.concatenate((
-            [0], np.cumsum([r.n_refs for r in self.records], dtype=np.int64)))
         # chunk i's slice of the data file is [_starts[i], _starts[i+1])
         self._starts = [0, *itertools.accumulate(
             r.stored_len for r in self.records)]

@@ -127,8 +127,3 @@ class RefBatch:
             oid=oid,
             iteration=self.iteration,
         )
-
-    def validate_sorted_fields(self) -> None:
-        """Cheap sanity check used by property tests."""
-        if np.any(self.size == 0):
-            raise TraceError("zero-size access in batch")

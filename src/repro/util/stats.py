@@ -76,11 +76,6 @@ class StreamingStats:
             return float("nan")
         return self._m2 / self.count
 
-    @property
-    def std(self) -> float:
-        """Population standard deviation."""
-        return float(np.sqrt(self.variance))
-
 
 @dataclass
 class Histogram:

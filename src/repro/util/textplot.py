@@ -13,12 +13,6 @@ from typing import Sequence
 import numpy as np
 
 
-def _axis_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    return list(np.linspace(lo, hi, n))
-
-
 def _fmt_tick(v: float) -> str:
     if v == 0:
         return "0"

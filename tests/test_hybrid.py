@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, PlacementError
+from repro.errors import PlacementError, PolicyError
 from repro.hybrid.energy import HybridEnergyModel
-from repro.hybrid.migration import DynamicMigrator
 from repro.hybrid.pagemap import MemoryPool, PageMap
 from repro.hybrid.placement import PlacementPlan, StaticPlacer
 from repro.memory.object import ObjectKind
 from repro.nvram.technology import DRAM_DDR3, PCRAM, STTRAM
+from repro.policies import ObjectSpan, create_policy, evaluate_policy
 from repro.scavenger.classify import classify_objects
 from repro.scavenger.config import ScavengerConfig
 from repro.scavenger.metrics import ObjectMetrics
@@ -151,102 +151,89 @@ class TestStaticPlacer:
 
 
 class TestDynamicMigrator:
-    def batch(self, pages, write=False):
+    """Ramos-style dynamic migration: the ``ramos`` registry policy,
+    evaluated over hand-built traces on one object spanning the pages."""
+
+    def batch(self, pages, write=False, iteration=0):
         addrs = np.asarray(pages, dtype=np.uint64) * 4096
-        return RefBatch.from_access(addrs, AccessType.WRITE if write else AccessType.READ)
+        return RefBatch.from_access(addrs, AccessType.WRITE if write else AccessType.READ,
+                                    iteration=iteration)
+
+    def run(self, n_pages, epochs, seed=0, **params):
+        """Evaluate ``ramos`` (all object pages start in NVM) over
+        *epochs*, one list of ``(pages, write)`` pairs per epoch."""
+        trace = [self.batch(pages, write, iteration)
+                 for iteration, epoch in enumerate(epochs)
+                 for pages, write in epoch]
+        objects = [ObjectSpan(0, "array", 0, n_pages * 4096)]
+        return evaluate_policy(create_policy("ramos", **params), trace, objects,
+                               PCRAM, 1_000_000, seed=seed)
 
     def test_write_hot_page_moves_to_dram(self):
-        pm = PageMap()
-        pm.assign_range(0, 10 * 4096, MemoryPool.NVRAM)
-        mig = DynamicMigrator(pm, write_hot_threshold=10, read_popular_threshold=100)
-        mig.observe(self.batch([3] * 20, write=True))
-        to_dram, _ = mig.end_epoch()
-        assert to_dram == 1
-        assert pm.pool_of(3 * 4096) is MemoryPool.DRAM
+        s = self.run(10, [[([3] * 20, True)]], write_hot=10, read_popular=100)
+        assert (s.to_dram, s.to_nvram) == (1, 0)
+        assert s.nvram_resident_bytes == 9 * 4096
 
     def test_read_only_page_moves_to_nvram(self):
-        pm = PageMap()  # defaults: everything DRAM
-        mig = DynamicMigrator(pm, write_hot_threshold=10, read_popular_threshold=100)
-        mig.observe(self.batch([5] * 7))  # a few reads, zero writes
-        _, to_nvram = mig.end_epoch()
-        assert to_nvram == 1
-        assert pm.pool_of(5 * 4096) is MemoryPool.NVRAM
+        # promoted by its writes, then forgotten (decay 0) and only read
+        s = self.run(10, [[([5] * 20, True)], [([5] * 7, False)]],
+                     write_hot=10, read_popular=100, decay=0.0)
+        assert (s.to_dram, s.to_nvram) == (1, 1)
+        assert s.nvram_resident_bytes == 10 * 4096
 
     def test_decay_forgets_history(self):
-        pm = PageMap()
-        mig = DynamicMigrator(pm, write_hot_threshold=16, decay=0.5)
-        mig.observe(self.batch([1] * 10, write=True))
-        mig.end_epoch()  # below threshold, decays to 5
-        mig.observe(self.batch([1] * 10, write=True))  # 5+10=15 < 16
-        to_dram, _ = mig.end_epoch()
-        assert to_dram == 0
+        epochs = [[([1] * 10, True)], [([1] * 10, True)]]
+        # 10 decays to 5, and 5 + 10 = 15 < 16
+        assert self.run(4, epochs, write_hot=16, decay=0.5).to_dram == 0
+        # 10 decays to 9, and 9 + 10 = 19 >= 16
+        assert self.run(4, epochs, write_hot=16, decay=0.9).to_dram == 1
 
     def test_stats(self):
-        pm = PageMap()
-        pm.assign_range(0, 2 * 4096, MemoryPool.NVRAM)
-        mig = DynamicMigrator(pm, write_hot_threshold=1, read_popular_threshold=1)
-        mig.observe(self.batch([0, 1], write=True))
-        mig.end_epoch()
-        assert mig.stats.epochs == 1
-        assert mig.stats.migrations == 2
-        assert mig.stats.bytes_moved == 2 * 4096
+        s = self.run(2, [[([0, 1], True)]], write_hot=1, read_popular=1)
+        assert s.to_dram == 2
+        assert s.migrations == 2
+        assert s.bytes_moved == 2 * 4096
 
     def test_invalid(self):
-        with pytest.raises(ConfigurationError):
-            DynamicMigrator(PageMap(), decay=1.0)
-        with pytest.raises(ConfigurationError):
-            DynamicMigrator(PageMap(), write_hot_threshold=0)
-        with pytest.raises(ConfigurationError):
-            DynamicMigrator(PageMap(), max_migrations_per_epoch=-1)
+        with pytest.raises(PolicyError):
+            create_policy("ramos", decay=1.0)
+        with pytest.raises(PolicyError):
+            create_policy("ramos", write_hot=0)
+        with pytest.raises(PolicyError):
+            create_policy("ramos", max_migrations_per_epoch=-1)
 
     def run_epochs(self, seed):
-        """Three epochs of mixed traffic through a budgeted migrator."""
+        """Three epochs of mixed traffic through a budgeted monitor."""
         rng = np.random.default_rng(99)  # traffic fixed; only *seed* varies
-        pm = PageMap()
-        pm.assign_range(0, 64 * 4096, MemoryPool.NVRAM)
-        mig = DynamicMigrator(pm, write_hot_threshold=4,
-                              read_popular_threshold=4, rng=seed,
-                              max_migrations_per_epoch=8)
-        for _ in range(3):
-            mig.observe(self.batch(rng.integers(0, 64, 200), write=True))
-            mig.observe(self.batch(rng.integers(0, 64, 200)))
-            mig.end_epoch()
-        placements = sorted((p, int(pm.pool_of_page(p))) for p in range(64))
-        return mig.stats, placements
+        epochs = [[(rng.integers(0, 64, 200), True), (rng.integers(0, 64, 200), False)]
+                  for _ in range(3)]
+        return self.run(64, epochs, seed=seed, write_hot=4, read_popular=4,
+                        max_migrations_per_epoch=8).as_row()
 
     def test_same_seed_identical_stats(self):
-        a_stats, a_pages = self.run_epochs(seed=0)
-        b_stats, b_pages = self.run_epochs(seed=0)
-        assert a_stats == b_stats
-        assert a_pages == b_pages
+        assert self.run_epochs(seed=0) == self.run_epochs(seed=0)
 
     def test_budget_caps_each_epoch(self):
-        pm = PageMap()
-        pm.assign_range(0, 32 * 4096, MemoryPool.NVRAM)
-        mig = DynamicMigrator(pm, write_hot_threshold=1,
-                              max_migrations_per_epoch=5)
-        mig.observe(self.batch(list(range(32)) * 3, write=True))
-        to_dram, to_nvram = mig.end_epoch()
-        assert to_dram + to_nvram <= 5
+        s = self.run(32, [[(list(range(32)) * 3, True)]], write_hot=1,
+                     max_migrations_per_epoch=5)
+        # every page is a write-hot candidate: the budget is the cap
+        assert s.migrations == 5
 
     def test_zero_budget_freezes_placement(self):
-        pm = PageMap()
-        pm.assign_range(0, 8 * 4096, MemoryPool.NVRAM)
-        mig = DynamicMigrator(pm, write_hot_threshold=1,
-                              max_migrations_per_epoch=0)
-        mig.observe(self.batch([0, 1, 2] * 10, write=True))
-        assert mig.end_epoch() == (0, 0)
-        assert mig.stats.migrations == 0
+        s = self.run(8, [[([0, 1, 2] * 10, True)]], write_hot=1,
+                     max_migrations_per_epoch=0)
+        assert s.migrations == 0
+        assert s.nvram_resident_bytes == 8 * 4096
 
     def test_unbudgeted_path_unchanged(self):
-        # without a budget the migrator never consults its RNG, so any
+        # without a budget the monitor never consults its RNG, so any
         # seed gives the classic threshold behavior
+        rows = []
         for seed in (0, 7):
-            pm = PageMap()
-            pm.assign_range(0, 4 * 4096, MemoryPool.NVRAM)
-            mig = DynamicMigrator(pm, write_hot_threshold=10, rng=seed)
-            mig.observe(self.batch([2] * 20, write=True))
-            assert mig.end_epoch() == (1, 0)
+            s = self.run(4, [[([2] * 20, True)]], seed=seed, write_hot=10)
+            assert (s.to_dram, s.to_nvram) == (1, 0)
+            rows.append(s.as_row())
+        assert rows[0] == rows[1]
 
 
 class TestEnergyModel:

@@ -8,12 +8,12 @@ instrumented program -> cache filter -> counts -> performance model
 import pytest
 
 from repro.hybrid.pagemap import MemoryPool, PageMap
-from repro.hybrid.migration import DynamicMigrator
 from repro.hybrid.placement import StaticPlacer
 from repro.instrument import InstrumentedRuntime, SamplingProbe
 from repro.instrument.api import FanoutProbe, Probe
 from repro.nvram import PCRAM, STTRAM
 from repro.perfsim import PerformanceSimulator
+from repro.policies import ObjectSpan, create_policy, evaluate_policy
 from repro.powersim import simulate_power
 from repro.scavenger import NVScavenger
 from repro.trace.io import write_trace
@@ -44,16 +44,15 @@ def test_classification_to_placement_to_pagemap(analyzed_apps):
 
 
 def test_migration_on_live_trace(analyzed_apps):
-    """The dynamic migrator consumes the real reference stream."""
-    _, _, probe, _ = analyzed_apps["gtc"]
-    pm = PageMap()
-    mig = DynamicMigrator(pm, write_hot_threshold=32, read_popular_threshold=64)
-    for b in probe.memory_trace[:50]:
-        mig.observe(b)
-    mig.end_epoch()
-    assert mig.stats.epochs == 1
+    """Ramos-style dynamic migration consumes the real reference stream."""
+    _, res, probe, _ = analyzed_apps["gtc"]
+    objects = [ObjectSpan(m.oid, m.name, m.base, m.size)
+               for m in res.object_metrics]
+    s = evaluate_policy(create_policy("ramos", write_hot=32, read_popular=64),
+                        probe.memory_trace, objects, PCRAM, 1_000_000)
+    assert s.accesses == sum(len(b) for b in probe.memory_trace)
     # GTC's write-heavy pages produce DRAM migrations
-    assert mig.stats.to_dram + mig.stats.to_nvram > 0
+    assert s.to_dram > 0
 
 
 def test_perf_counts_consistent_with_cache_stats(analyzed_apps):

@@ -31,7 +31,7 @@ from repro.policies import (
 from repro.trace.record import RefBatch
 
 EXPECTED = {"no_migration", "static_oracle", "threshold", "predictive",
-            "endurance_aware"}
+            "endurance_aware", "ramos"}
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +90,10 @@ class TestRegistry:
         ("predictive", {"alpha": 0.0}),
         ("predictive", {"demote_margin": -0.1}),
         ("endurance_aware", {"decay": 1.0}),
+        ("ramos", {"decay": 1.0}),
+        ("ramos", {"write_hot": 0}),
+        ("ramos", {"read_popular": -1.0}),
+        ("ramos", {"max_migrations_per_epoch": -1}),
     ])
     def test_invalid_params(self, name, params):
         with pytest.raises(PolicyError):

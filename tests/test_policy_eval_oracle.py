@@ -144,7 +144,8 @@ def cases(draw):
 
 #: one parameterization per policy, over the edges of each rule: scores
 #: that decay to their floor within a few epochs, a predictive demote
-#: line below the 1e-3 forecast floor
+#: line below the 1e-3 forecast floor, migration budgets that cut an
+#: epoch's candidates (unmapped pages among them)
 policy_params = st.fixed_dictionaries({
     "no_migration": st.fixed_dictionaries(
         {"home": st.sampled_from(["nvram", "dram"])}),
@@ -161,6 +162,11 @@ policy_params = st.fixed_dictionaries({
     "endurance_aware": st.fixed_dictionaries({
         "write_hot": st.sampled_from([1.0, 8.0]),
         "decay": st.sampled_from([0.0, 0.01, 0.5])}),
+    "ramos": st.fixed_dictionaries({
+        "write_hot": st.sampled_from([1.0, 4.0, 64.0]),
+        "read_popular": st.sampled_from([1.0, 16.0, 256.0]),
+        "decay": st.sampled_from([0.0, 0.01, 0.5, 0.9]),
+        "max_migrations_per_epoch": st.sampled_from([None, 0, 1, 3])}),
 })
 
 
@@ -171,7 +177,7 @@ policy_params = st.fixed_dictionaries({
        budget=st.sampled_from([-1, 0, 1, 3, STACK_BURST]))
 def test_generated_traces_match_reference(case, params, device, budget):
     objects, trace, classified = case
-    # one index shared by all five cells, as the sweep shares it
+    # one index shared by all six cells, as the sweep shares it
     index = PageTrace.build(trace, objects)
     for name in sorted(params):
         assert_rows_agree(name, params[name], index, trace, objects, device,

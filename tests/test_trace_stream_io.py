@@ -1,4 +1,4 @@
-"""Stream combinators and trace file round-trips."""
+"""Trace file round-trips."""
 
 import numpy as np
 import pytest
@@ -6,46 +6,11 @@ import pytest
 from repro.errors import TraceError
 from repro.trace.io import TraceReader, TraceWriter, read_trace, write_trace
 from repro.trace.record import AccessType, RefBatch
-from repro.trace.stream import batch_windows, concat_batches, filter_batch, split_by_predicate
 
 
 def make_batch(n, iteration=0):
     return RefBatch.from_access(np.arange(n, dtype=np.uint64) * 8, AccessType.READ,
                                 iteration=iteration)
-
-
-class TestStream:
-    def test_concat(self):
-        c = concat_batches([make_batch(3), make_batch(4)])
-        assert len(c) == 7
-
-    def test_concat_empty(self):
-        assert len(concat_batches([])) == 0
-        assert len(concat_batches([RefBatch.empty()])) == 0
-
-    def test_concat_mixed_iterations_raises(self):
-        with pytest.raises(TraceError):
-            concat_batches([make_batch(2, 0), make_batch(2, 1)])
-
-    def test_filter(self):
-        b = make_batch(10)
-        f = filter_batch(b, lambda x: x.addr >= 40)
-        assert len(f) == 5
-
-    def test_split(self):
-        b = make_batch(10)
-        lo, hi = split_by_predicate(b, lambda x: x.addr < 24)
-        assert len(lo) == 3 and len(hi) == 7
-
-    def test_windows(self):
-        b = make_batch(10)
-        ws = list(batch_windows(b, 4))
-        assert [len(w) for w in ws] == [4, 4, 2]
-        assert np.concatenate([w.addr for w in ws]).tolist() == b.addr.tolist()
-
-    def test_windows_bad(self):
-        with pytest.raises(TraceError):
-            list(batch_windows(make_batch(2), 0))
 
 
 class TestTraceIO:
