@@ -1,7 +1,7 @@
 # Standard loops for the repro package.
 PY ?= python
 
-.PHONY: install test lint chaos crashcheck bench bench-report experiments sched-smoke resume-smoke serve-smoke serve-soak queue-soak policy-smoke validate examples all clean
+.PHONY: install test lint chaos crashcheck bench bench-record experiments sched-smoke resume-smoke serve-smoke serve-soak queue-soak policy-smoke validate examples all clean
 
 install:
 	pip install -e . --no-build-isolation || \
@@ -44,8 +44,27 @@ crashcheck:
 bench:
 	$(PY) -m pytest benchmarks/ --benchmark-only
 
-bench-report:
-	$(PY) benchmarks/throughput_report.py BENCH_throughput.json
+# perfbench (BENCHMARK.json) over its four workloads at seed 0, each
+# once untraced (end-to-end medians) and once traced (per-layer self
+# times). BENCH_perfbench.json gets a JSON list of the eight runs, each
+# with its provenance (refs, scale, iterations, commit, CPUs) and its
+# final JSON line (~6 min).
+BENCH_WORKLOADS = suite suite_jobs2 sweep_warm serve_mixed
+
+bench-record:
+	@set -e; tmp=.bench_record; rm -rf $$tmp; mkdir $$tmp; sep='['; \
+	for w in $(BENCH_WORKLOADS); do for t in 0 1; do \
+		echo "== $$w --trace $$t"; \
+		$(PY) perfbench/run.py --workload $$w --seed 0 --seconds 30 \
+			--trace $$t > $$tmp/run.out; \
+		printf '%s\n{"provenance": %s,\n "result": %s}' "$$sep" \
+			"$$(sed -n 's/^# provenance //p' $$tmp/run.out)" \
+			"$$(tail -n 1 $$tmp/run.out)" >> $$tmp/all.json; \
+		sep=','; \
+	done; done; \
+	echo ']' >> $$tmp/all.json; \
+	mv $$tmp/all.json BENCH_perfbench.json; rm -rf $$tmp; \
+	echo "wrote BENCH_perfbench.json"
 
 experiments:
 	$(PY) -m repro.experiments all --write

@@ -6,7 +6,7 @@ This is the original per-reference Python loop over
 state transitions on numpy arrays; this implementation is kept as the
 ground truth for differential testing (`tests/test_cachesim_vectorized.py`
 drives randomized batches through both and requires bit-identical stats
-and memory traces) and as the baseline for the throughput benchmark.
+and memory traces).
 """
 
 from __future__ import annotations

@@ -10,9 +10,10 @@ return the committed artifact without executing anything.
 the NV-SCAVENGER analyzers, the cache simulator, a locality analyzer —
 so one execution feeds arbitrarily many consumers.
 
-Every stage is instrumented: per-phase wall time (``map`` the container,
-``verify`` stored checksums, ``decode`` chunks, ``consume`` in probes),
-reference counts and derived refs/sec live in
+Every stage is instrumented: calls, wall time, reference counts and
+derived refs/sec for ``record`` (live execution) and ``replay``, and for
+the replay's phases (``map`` the container, ``verify`` stored checksums,
+``decode`` chunks, ``consume`` in probes) live in
 :attr:`PipelineEngine.stats`, alongside the ``app_runs`` /
 ``cache_hits`` / ``replays`` / ``chunks_verified`` / ``chunks_decoded``
 counters the suite-level "each spec executes once" guarantee is tested
@@ -33,9 +34,9 @@ committed artifact as a cache hit.
 Decoding is **lazy and chunk-granular**: an open artifact is held as a
 :class:`_RunHandle` (memory-mapped reader + parsed event stream), and a
 chunk is decoded only when a replay first touches it, landing in a
-per-``(key, chunk)`` LRU memo bounded by ``decode_cache_bytes``. A full
-replay therefore decodes each chunk once across arbitrarily many
-replays, and a window replay never decodes chunks outside the window.
+per-``(key, chunk)`` LRU memo bounded by ``decode_cache_bytes``. Each
+chunk is therefore decoded once across arbitrarily many replays, as
+long as the memo holds it.
 
 By default each engine gets a **fresh temporary cache root** (per
 process), so repeated invocations never read stale artifacts from earlier
@@ -218,8 +219,8 @@ class PipelineEngine:
         self._handles: dict[str, _RunHandle] = {}
         # decoded-chunk memo: replaying the same artifact many times (the
         # suite's normal shape) must not re-inflate compressed chunks
-        # every time — keyed ``(key, chunk_index)`` so window replays
-        # memoize only what they touched. 0 disables it.
+        # every time — keyed ``(key, chunk_index)`` so eviction drops
+        # single chunks, oldest first. 0 disables it.
         self.decode_cache_bytes = decode_cache_bytes
         self._decoded: OrderedDict[tuple[str, int], _DecodedChunk] = \
             OrderedDict()

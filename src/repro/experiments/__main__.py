@@ -1,5 +1,5 @@
 """CLI: ``python -m repro.experiments <id>|all [--write]
-[--jobs N|adaptive] [--run-id ID | --resume ID]``.
+[--jobs N] [--run-id ID | --resume ID]``.
 
 Exit codes: 0 success, 2 usage/configuration errors (including a
 ``--resume`` whose journal is missing or belongs to a different suite),
@@ -22,17 +22,6 @@ from repro.experiments.runner import (
     run_all,
     run_experiment,
 )
-
-
-def _jobs_arg(text: str) -> int | str:
-    """``--jobs`` accepts an integer or the literal ``adaptive``."""
-    if text.strip().lower() == "adaptive":
-        return "adaptive"
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or 'adaptive', got {text!r}") from None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -62,15 +51,13 @@ def main(argv: list[str] | None = None) -> int:
              "invocations",
     )
     parser.add_argument(
-        "--jobs", type=_jobs_arg, default=1, metavar="N",
+        "--jobs", type=int, default=1, metavar="N",
         help="with 'all': worker processes for the suite (default 1 = "
              "sequential in-process; 0 = auto: one per CPU, clamped to "
-             "the task graph's useful parallelism; 'adaptive' = sized "
-             "from journaled run history, degrading to sequential where "
-             "parallelism demonstrably loses). Each task runs in a fresh "
-             "worker process; tasks are published to a work queue under "
-             "<cache-dir>/runs/<run-id>/queue/ that hosts sharing the "
-             "cache can join via `nvscavenger work --run-id`. Workers "
+             "the task graph's useful parallelism). Each task runs in a "
+             "fresh worker process; tasks are published to a work queue "
+             "under <cache-dir>/runs/<run-id>/queue/ that hosts sharing "
+             "the cache can join via `nvscavenger work --run-id`. Workers "
              "share the artifact cache, so each distinct run spec is "
              "still executed exactly once and results are identical to "
              "--jobs 1",
@@ -99,12 +86,9 @@ def main(argv: list[str] | None = None) -> int:
         from repro.sched.suite import resolve_jobs
 
         # validate (and estimate, for the progress printer below) here;
-        # the *effective* worker count for --jobs 0 (and "adaptive") is
-        # decided inside run_suite_parallel, where the task graph's
-        # width (and the journal history) is known
-        jobs_estimate = (resolve_jobs(args.jobs)
-                         if isinstance(args.jobs, int) else 2)
-        jobs = args.jobs
+        # the *effective* worker count for --jobs 0 is decided inside
+        # run_suite_parallel, where the task graph's width is known
+        jobs_estimate = resolve_jobs(args.jobs)
         if args.resume is not None and args.run_id is not None:
             raise ConfigurationError(
                 "--resume and --run-id are mutually exclusive")
@@ -131,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
             if jobs_estimate > 1:
                 def on_event(ev):  # live progress on stderr, results on stdout
                     print(f"sched: {ev}", file=sys.stderr)
-            results = run_all(ctx, jobs=jobs, on_sched_event=on_event,
+            results = run_all(ctx, jobs=args.jobs, on_sched_event=on_event,
                               run_id=args.run_id, resume=args.resume,
                               drain_grace_s=args.grace)
             for res in results:

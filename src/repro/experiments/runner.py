@@ -130,7 +130,7 @@ def run_all(
     budget_s: float | None = None,
     strict: bool = False,
     prefetch: bool = True,
-    jobs: int | str = 1,
+    jobs: int = 1,
     on_sched_event: Callable | None = None,
     run_id: str | None = None,
     resume: str | None = None,
@@ -180,18 +180,16 @@ def run_all(
     recorded as an experiment failure.
 
     ``jobs=0`` sizes the pool to the CPU count (clamped to the suite's
-    useful width); ``jobs="adaptive"`` sizes it from journaled run
-    history, degrading to sequential where parallelism demonstrably
-    loses.
+    useful width).
     """
     ctx = ctx or ExperimentContext()
     exps = EXPERIMENTS if experiments is None else experiments
     if jobs != 1 or run_id is not None or resume is not None:
         from repro.sched.suite import run_suite_parallel
 
-        # jobs passes through raw: run_suite_parallel resolves 0 (and
-        # "adaptive") with the graph in hand, clamping auto-sizing to
-        # the suite's useful width
+        # jobs passes through raw: run_suite_parallel resolves 0 with
+        # the graph in hand, clamping auto-sizing to the suite's useful
+        # width
         results, _report = run_suite_parallel(
             ctx, exps,
             jobs=jobs,

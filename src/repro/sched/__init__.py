@@ -25,13 +25,10 @@ The subsystem has these layers:
 * :mod:`repro.sched.suite` — the ``run_all(jobs=N)`` entry point:
   canonical result ordering and parent-side stats merging, so a
   parallel suite run is bit-identical to a sequential one — resumed or
-  not;
-* :mod:`repro.sched.adaptive` — evidence-based pool sizing: mines the
-  journals of finished runs for observed speedup per pool size and
-  degrades to sequential where parallelism demonstrably loses.
+  not. ``jobs=N`` is the pool size; ``jobs=0`` sizes it to the CPU
+  count, clamped to the graph's useful width.
 """
 
-from repro.sched.adaptive import RunSample, adaptive_jobs, run_history
 from repro.sched.events import (
     TASK_FAILED,
     TASK_FINISHED,
@@ -68,7 +65,6 @@ from repro.sched.queue import (
     safe_task_id,
 )
 from repro.sched.suite import (
-    JOBS_ADAPTIVE,
     build_suite_graph,
     declared_artifacts,
     resolve_jobs,
@@ -109,10 +105,6 @@ __all__ = [
     "SchedulerOutcome",
     "WorkQueue",
     "safe_task_id",
-    "RunSample",
-    "adaptive_jobs",
-    "run_history",
-    "JOBS_ADAPTIVE",
     "build_suite_graph",
     "declared_artifacts",
     "resolve_jobs",

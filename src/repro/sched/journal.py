@@ -45,7 +45,7 @@ import pickle
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 from repro.engine.locks import KeyLock
 from repro.errors import JournalError
@@ -349,13 +349,8 @@ class RunJournal:
         self.append(LEASE_REVOKED, task_id=task_id, worker_id=worker_id,
                     epoch=epoch, reason=reason)
 
-    def run_finished(self, n_failed: int = 0, n_skipped: int = 0,
-                     **extra) -> None:
-        # extra carries run-shape facts the adaptive pool sizer mines
-        # from history (jobs=, wall_s=, task_wall_s=...); keyword-only
-        # so old journals (without them) replay unchanged
-        self.append(RUN_FINISHED, n_failed=n_failed, n_skipped=n_skipped,
-                    **extra)
+    def run_finished(self, n_failed: int = 0, n_skipped: int = 0) -> None:
+        self.append(RUN_FINISHED, n_failed=n_failed, n_skipped=n_skipped)
         # the marker engine gc keys eviction on: a finished run's
         # journal is forensics, an unfinished one is resumable state;
         # publish it durably — an acked run_finished whose marker
@@ -378,17 +373,3 @@ class RunJournal:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def list_runs(cache_root: str) -> Iterator[tuple[str, str, bool]]:
-    """Yield ``(run_id, run_dir, finished)`` for every run under *root*."""
-    base = os.path.join(cache_root, RUNS_DIR)
-    try:
-        names = sorted(os.listdir(base))
-    except OSError:
-        return
-    for name in names:
-        path = os.path.join(base, name)
-        if not os.path.isdir(path):
-            continue
-        yield name, path, os.path.exists(os.path.join(path, DONE_MARKER))

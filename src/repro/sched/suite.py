@@ -50,12 +50,6 @@ from repro.sched.journal import (
 from repro.sched.queue import DEFAULT_LEASE_TTL_S, QueueCoordinator
 from repro.sched.workers import WorkerConfig
 
-#: ``jobs`` sentinel: size the pool from journaled run history
-#: (:func:`repro.sched.adaptive.adaptive_jobs`) instead of a fixed
-#: count or the cpu heuristic.
-JOBS_ADAPTIVE = "adaptive"
-
-
 def resolve_jobs(jobs: int, ready_width: int | None = None) -> int:
     """Normalize a ``--jobs`` value: ``0`` means auto-size.
 
@@ -155,7 +149,7 @@ def run_suite_parallel(
     ctx,
     exps: Mapping[str, Callable],
     *,
-    jobs: int | str,
+    jobs: int,
     retries: int = 1,
     budget_s: float | None = None,
     strict: bool = False,
@@ -200,24 +194,11 @@ def run_suite_parallel(
     whose ``exit_code`` is ``128 + signum``.
 
     ``jobs=0`` means one worker per CPU, clamped to the graph's useful
-    width; ``jobs="adaptive"`` sizes the pool from journaled run
-    history (:func:`repro.sched.adaptive.adaptive_jobs`): the size with
-    the best observed speedup wins, and a machine where parallelism
-    never paid degrades to sequential.
+    width.
     """
     from repro.experiments.runner import EXPERIMENTS
 
     graph = build_suite_graph(ctx, exps)
-    adaptive_reason = ""
-    if isinstance(jobs, str):
-        if jobs != JOBS_ADAPTIVE:
-            raise ConfigurationError(
-                f"--jobs must be an integer or {JOBS_ADAPTIVE!r}, "
-                f"got {jobs!r}")
-        from repro.sched.adaptive import adaptive_jobs
-
-        jobs, adaptive_reason = adaptive_jobs(
-            ctx.engine.cache.root, graph.width())
     jobs = resolve_jobs(jobs, ready_width=graph.width())
     cfg = WorkerConfig(
         cache_root=ctx.engine.cache.root,
@@ -265,8 +246,7 @@ def run_suite_parallel(
                        fingerprint=graph.fingerprint(), jobs=jobs,
                        seed=ctx.seed, apps=list(ctx.apps),
                        refs_per_iteration=ctx.refs_per_iteration,
-                       scale=ctx.scale, n_iterations=ctx.n_iterations,
-                       adaptive=adaptive_reason)
+                       scale=ctx.scale, n_iterations=ctx.n_iterations)
 
     try:
         outcome = QueueCoordinator(
@@ -319,10 +299,8 @@ def run_suite_parallel(
             signum=signum, run_id=run_id, report=report, completed=n_done,
         )
     if jnl is not None:
-        # jobs/wall_s feed the adaptive pool sizer's history model
         jnl.run_finished(n_failed=report.n_failed,
-                         n_skipped=report.n_skipped,
-                         jobs=jobs, wall_s=round(report.wall_s, 6))
+                         n_skipped=report.n_skipped)
         jnl.close()
 
     results: list = []

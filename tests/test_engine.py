@@ -9,6 +9,8 @@ The contract under test:
   result bit-identical to a live instrumented run;
 * partially written artifacts (no ``meta.json`` commit marker) are treated
   as absent, never served;
+* each stage counts the calls and refs it handled, and a worker engine's
+  snapshot delta merges into another engine's stats without loss;
 * ``run_all`` drives the whole experiment suite off one recording pass.
 """
 
@@ -16,7 +18,8 @@ import numpy as np
 import pytest
 
 from repro.cachesim import MemoryTraceProbe
-from repro.engine import PipelineEngine, RunSpec, VARIANT_PREFIX
+from repro.engine import EngineStats, PipelineEngine, RunSpec, VARIANT_PREFIX
+from repro.engine.engine import STAGE_NAMES
 from repro.errors import ConfigurationError
 from repro.scavenger import NVScavenger
 
@@ -239,6 +242,69 @@ class TestSuiteIntegration:
         assert d["app_runs"] == 1 and d["replays"] == 1
         assert d["record_refs"] == d["replay_refs"] > 0
         assert "replay" in eng.stats.table()
+
+
+# ----------------------------------------------------------------------
+class TestStageAccounting:
+    """Per-stage calls and refs of a cold and a warm replay, and the
+    snapshot/delta/merge fold the suite applies to worker engines."""
+
+    COUNTERS = ("app_runs", "cache_hits", "replays", "quarantined",
+                "rerecorded", "chunks_verified", "chunks_decoded")
+
+    def _calls_and_refs(self, stats):
+        return {name: (st.calls, st.refs) for name, st in stats.stages.items()}
+
+    def test_replay_stage_counts(self, tmp_path):
+        spec = RunSpec(app="gtc", **SPEC)
+        # small chunks, so "one decode call per chunk" is checked over many
+        art = PipelineEngine(root=tmp_path / "cache",
+                             buffer_capacity=1_024).record(spec)
+        refs, n_chunks = art.meta["refs"], art.meta["n_batches"]
+        assert n_chunks > 1
+
+        eng = make_engine(tmp_path)
+        eng.replay(spec, MemoryTraceProbe())
+        cold = self._calls_and_refs(eng.stats)
+        assert cold["record"] == (0, 0)
+        assert cold["map"][0] == 1
+        assert cold["verify"] == (1, refs)
+        assert cold["decode"] == (n_chunks, refs)
+        assert cold["replay"] == (1, refs)
+        assert cold["consume"] == (1, refs)
+        assert eng.stats.chunks_verified == eng.stats.chunks_decoded == n_chunks
+
+        # a warm replay reuses the handle, its scrub and the decode memo
+        eng.replay(spec, MemoryTraceProbe())
+        warm = self._calls_and_refs(eng.stats)
+        for name in ("record", "map", "verify", "decode"):
+            assert warm[name] == cold[name], name
+        assert warm["replay"] == (2, 2 * refs)
+        assert warm["consume"] == (2, 2 * refs)
+
+    def test_snapshot_delta_merge_reproduces_every_count(self, tmp_path):
+        spec = RunSpec(app="gtc", **SPEC)
+        recorder, replayer = make_engine(tmp_path), make_engine(tmp_path)
+        before = [recorder.stats.snapshot(), replayer.stats.snapshot()]
+        recorder.record(spec)
+        replayer.replay(spec, MemoryTraceProbe())
+        replayer.replay(spec, MemoryTraceProbe())
+
+        merged = EngineStats()
+        for eng, snap in zip((recorder, replayer), before):
+            merged.merge(eng.stats.delta(snap))
+        for name in self.COUNTERS:
+            want = (getattr(recorder.stats, name)
+                    + getattr(replayer.stats, name))
+            assert getattr(merged, name) == want, name
+        got = self._calls_and_refs(merged)
+        rec = self._calls_and_refs(recorder.stats)
+        rep = self._calls_and_refs(replayer.stats)
+        for name in STAGE_NAMES:
+            assert got[name] == (rec[name][0] + rep[name][0],
+                                 rec[name][1] + rep[name][1]), name
+        # every stage saw work, so the check covers all six
+        assert all(calls > 0 for calls, _refs in got.values())
 
 
 # ----------------------------------------------------------------------

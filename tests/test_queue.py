@@ -1,4 +1,4 @@
-"""Distributed queue transport: leases, fencing, zombies, adaptive jobs.
+"""Distributed queue transport: leases, fencing, zombies, gc.
 
 The contract under test (PR 8's tentpole):
 
@@ -12,9 +12,7 @@ The contract under test (PR 8's tentpole):
 * the queue transport returns results bit-identical to a sequential
   ``jobs=1`` run;
 * ``engine gc`` never evicts a run directory whose queue shows live
-  lease heartbeats (the fence files in there are load-bearing);
-* ``--jobs adaptive`` picks the pool size from journaled history and
-  degrades to sequential where parallelism demonstrably lost.
+  lease heartbeats (the fence files in there are load-bearing).
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ from repro.engine.spec import RunSpec
 from repro.errors import FencedOutError, QueueError
 from repro.experiments.common import ExperimentResult
 from repro.experiments.runner import EXPERIMENTS, run_all
-from repro.sched.adaptive import adaptive_jobs, run_history
 from repro.sched.events import TASK_RETRIED, TASK_STARTED, EventLog
 from repro.sched.graph import (
     EXPERIMENT_PREFIX,
@@ -616,69 +613,3 @@ class TestGcKeepsLiveQueues:
         report = cache.gc(max_bytes=0)
         assert report.kept_queues == []
         assert "dead" in report.evicted_runs
-
-
-# ----------------------------------------------------------------------
-def _write_run(cache_root: str, run_id: str, jobs: int, wall_s: float,
-               task_walls: list[float], finished: bool = True) -> None:
-    jnl = RunJournal.open(cache_root, run_id)
-    jnl.append("run_started", run_id=run_id, fingerprint="x", jobs=jobs,
-               seed=0)
-    for i, w in enumerate(task_walls):
-        jnl.task_finished(f"exp:t{i}", 0, {"wall_s": w})
-    if finished:
-        jnl.run_finished(jobs=jobs, wall_s=wall_s)
-    jnl.close()
-
-
-class TestAdaptiveJobs:
-    def test_no_history_falls_back_to_cpu_heuristic(self, tmp_path):
-        jobs, reason = adaptive_jobs(str(tmp_path), width=4)
-        assert jobs == max(1, min(os.cpu_count() or 1, 4))
-        assert "no journaled run history" in reason
-
-    def test_unfinished_runs_are_not_evidence(self, tmp_path):
-        root = str(tmp_path)
-        _write_run(root, "crashed", jobs=4, wall_s=1.0,
-                   task_walls=[1.0], finished=False)
-        assert run_history(root) == []
-
-    def test_history_degrades_to_sequential_when_parallelism_loses(
-            self, tmp_path):
-        root = str(tmp_path)
-        # the measured pathology this feature exists for: jobs=4 on a
-        # 1-core box ran at 0.28x the sequential throughput
-        _write_run(root, "r1", jobs=1, wall_s=10.0, task_walls=[5.0, 5.0])
-        _write_run(root, "r2", jobs=4, wall_s=10.0, task_walls=[1.5, 1.3])
-        jobs, _reason = adaptive_jobs(root, width=8)
-        assert jobs == 1
-
-    def test_marginal_parallel_gain_is_not_worth_a_pool(self, tmp_path):
-        root = str(tmp_path)
-        # jobs=4 "wins" at 1.03x — inside MIN_GAIN noise, so the sizer
-        # refuses to pay fork/IPC overhead for it
-        _write_run(root, "r1", jobs=1, wall_s=10.0, task_walls=[5.0, 5.0])
-        _write_run(root, "r2", jobs=4, wall_s=10.0, task_walls=[5.1, 5.2])
-        jobs, reason = adaptive_jobs(root, width=8)
-        assert jobs == 1
-        assert "does not pay" in reason
-
-    def test_history_picks_best_observed_pool(self, tmp_path):
-        root = str(tmp_path)
-        _write_run(root, "r1", jobs=1, wall_s=10.0, task_walls=[10.0])
-        _write_run(root, "r2", jobs=2, wall_s=5.0, task_walls=[5.0, 4.8])
-        jobs, reason = adaptive_jobs(root, width=8)
-        assert jobs == 2
-        assert "history picks jobs=2" in reason
-        # ... clamped to the graph's useful width
-        jobs, reason = adaptive_jobs(root, width=1)
-        assert jobs == 1
-        assert "clamped" in reason
-
-    def test_history_samples_reconstruct_speedup(self, tmp_path):
-        root = str(tmp_path)
-        _write_run(root, "r1", jobs=2, wall_s=4.0, task_walls=[3.0, 5.0])
-        (sample,) = run_history(root)
-        assert sample.jobs == 2
-        assert sample.n_tasks == 2
-        assert sample.speedup == pytest.approx(2.0)

@@ -180,8 +180,7 @@ def main(argv: list[str] | None = None) -> int:
     killer.stop()
     killer.join(timeout=2.0)
     jnl.run_finished(n_failed=len(outcome.failures),
-                     n_skipped=len(outcome.skipped),
-                     jobs=args.workers, wall_s=outcome.report.wall_s)
+                     n_skipped=len(outcome.skipped))
     jnl.close()
     print(f"queue-soak: queue jobs={args.workers} in "
           f"{time.monotonic() - t0:.1f}s — {outcome.report.summary()}")
