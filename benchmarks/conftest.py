@@ -20,5 +20,7 @@ BENCH_SCALE = 1.0 / 64.0
 @pytest.fixture(scope="session")
 def ctx() -> ExperimentContext:
     c = ExperimentContext(refs_per_iteration=BENCH_REFS, scale=BENCH_SCALE)
-    c.all_runs()  # instrument all four apps once, up front
+    # record all four apps and replay both analyses once, up front
+    for run in c.all_runs().values():
+        run.result, run.memory_trace
     return c

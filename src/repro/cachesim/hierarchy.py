@@ -295,6 +295,10 @@ class CacheHierarchy:
         self.refs = 0
         self.memory_reads = 0
         self.memory_writes = 0
+        #: for each row of the last :meth:`process_batch` output, the index
+        #: in that input batch of the reference that caused it
+        #: (non-decreasing, so a caller can split the output by input range)
+        self.last_source = np.zeros(0, dtype=np.int64)
 
     # ------------------------------------------------------------------
     def process_batch(self, batch: RefBatch) -> RefBatch:
@@ -304,11 +308,13 @@ class CacheHierarchy:
         Oids of memory accesses are inherited from the triggering reference
         (a writeback carries the oid of the access that evicted it, which is
         the standard trace-driven approximation). Output rows appear in the
-        same order the scalar reference implementation produces them.
+        same order the scalar reference implementation produces them, and
+        :attr:`last_source` gives each row's triggering reference.
         """
         n = len(batch)
         self.refs += n
         if n == 0:
+            self.last_source = np.zeros(0, dtype=np.int64)
             return RefBatch.empty(batch.iteration)
         lines = (batch.addr >> np.uint64(self._line_shift)).astype(np.int64)
         is_write = np.ascontiguousarray(batch.is_write)
@@ -323,11 +329,11 @@ class CacheHierarchy:
             # the dirty victim's writeback, as in the scalar loop)
             di = np.nonzero(miss1)[0]
             wi = np.nonzero(vic1 >= 0)[0]
-            mem_lines, mem_writes, mem_oids = _merge(
+            mem_lines, mem_writes, mem_oids, self.last_source = _merge(
                 di,
                 wi,
-                (lines[di], byp1[di], oids[di]),
-                (vic1[wi], np.ones(len(wi), dtype=bool), oids[wi]),
+                (lines[di], byp1[di], oids[di], di),
+                (vic1[wi], np.ones(len(wi), dtype=bool), oids[wi], wi),
             )
             mem = self._emit(mem_lines, mem_writes, mem_oids, batch.iteration)
             self.memory_reads += mem.n_reads
@@ -340,7 +346,7 @@ class CacheHierarchy:
         di = np.nonzero(miss1)[0]
         # state oid: the dirtying access for bypassed stores, the carried
         # owner for victim writebacks
-        ev_line, ev_write, ev_state_oid, ev_emit_oid, ev_is_victim = _merge(
+        ev_line, ev_write, ev_state_oid, ev_emit_oid, ev_is_victim, ev_src = _merge(
             vi,
             di,
             (
@@ -349,6 +355,7 @@ class CacheHierarchy:
                 vic1_oid[vi],
                 oids[vi],
                 np.ones(len(vi), dtype=bool),
+                vi,
             ),
             (
                 lines[di],
@@ -356,6 +363,7 @@ class CacheHierarchy:
                 np.where(byp1[di], oids[di], np.int32(-1)).astype(np.int32),
                 oids[di],
                 np.zeros(len(di), dtype=bool),
+                di,
             ),
         )
         l2 = self.levels[-1]
@@ -367,11 +375,13 @@ class CacheHierarchy:
         fill = np.where(ev_is_victim, ~hit2 & ~byp2, ~hit2)
         fi = np.nonzero(fill)[0]
         wi2 = np.nonzero(vic2 >= 0)[0]
-        mem_lines, mem_writes, mem_oids = _merge(
+        mem_lines, mem_writes, mem_oids, self.last_source = _merge(
             fi,
             wi2,
-            (ev_line[fi], np.zeros(len(fi), dtype=bool), ev_emit_oid[fi]),
-            (vic2[wi2], np.ones(len(wi2), dtype=bool), ev_emit_oid[wi2]),
+            (ev_line[fi], np.zeros(len(fi), dtype=bool), ev_emit_oid[fi],
+             ev_src[fi]),
+            (vic2[wi2], np.ones(len(wi2), dtype=bool), ev_emit_oid[wi2],
+             ev_src[wi2]),
         )
         mem = self._emit(mem_lines, mem_writes, mem_oids, batch.iteration)
         self.memory_reads += mem.n_reads

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator
 

@@ -30,7 +30,6 @@ The invariants, per protocol:
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from types import SimpleNamespace
 

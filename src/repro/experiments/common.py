@@ -2,17 +2,20 @@
 
 Each application is *executed* at most once per distinct run spec: the
 context asks the :class:`~repro.engine.PipelineEngine` for the recorded
-artifact (recording on first request) and replays it into the NV-SCAVENGER
-analyzers and the cache-filtering probe side by side — behaviorally
-identical to the paper's arrangement of tools sharing one instrumented
-run, but with the execution and the analyses decoupled. Fidelity knobs
-(reference budget, scale) default to values that keep the full suite
-within tens of seconds while preserving every calibrated statistic.
+artifact (recording on first request). An :class:`AppRun` replays it
+into each analysis on first access, once per context — ``result`` into
+the NV-SCAVENGER analyzers only, ``memory_trace``/``cache_probe`` into
+the cache-filtering probe only — so an experiment that never reads the
+memory trace never filters, and one that reads only the trace never
+runs the scavenger. Fidelity knobs (reference budget, scale) default to
+values that keep the full suite within tens of seconds while preserving
+every calibrated statistic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from repro.apps.base import ModelApp
@@ -25,19 +28,45 @@ from repro.trace.record import RefBatch
 APP_ORDER: tuple[str, ...] = ("nek5000", "cam", "gtc", "s3d")
 
 
-@dataclass
 class AppRun:
     """Everything an experiment needs from one application's recorded run.
 
-    ``app`` is an un-executed instance (for its ``info`` and class); the
-    analyses come from replaying the recorded artifact.
+    ``app`` is an un-executed instance (for its ``info`` and class).
+    ``result`` comes from a scavenger-only replay, ``cache_probe`` (and
+    its ``memory_trace``) from a filter-only replay, ``instructions``
+    from the artifact's metadata; each is computed on first access.
     """
 
-    app: ModelApp
-    result: ScavengerResult
-    memory_trace: list[RefBatch]
-    cache_probe: MemoryTraceProbe
-    instructions: int
+    def __init__(self, engine: PipelineEngine, spec: RunSpec,
+                 n_main_iterations: int) -> None:
+        self.app: ModelApp = spec.instantiate()
+        self._engine = engine
+        self._spec = spec
+        self._n_main_iterations = n_main_iterations
+
+    @cached_property
+    def result(self) -> ScavengerResult:
+        session = NVScavenger().replay_session()
+        artifact = self._engine.replay(self._spec, session.probe,
+                                       stack=session.stack)
+        return session.result(
+            footprint_bytes=artifact.meta["footprint_bytes"],
+            n_main_iterations=self._n_main_iterations,
+        )
+
+    @cached_property
+    def cache_probe(self) -> MemoryTraceProbe:
+        probe = MemoryTraceProbe()
+        self._engine.replay(self._spec, probe)
+        return probe
+
+    @property
+    def memory_trace(self) -> list[RefBatch]:
+        return self.cache_probe.memory_trace
+
+    @cached_property
+    def instructions(self) -> int:
+        return self._engine.verified_artifact(self._spec).meta["instructions"]
 
 
 @dataclass
@@ -110,28 +139,14 @@ class ExperimentContext:
                 pass
 
     def run(self, app_name: str) -> AppRun:
-        """Replay *app_name*'s recorded artifact into the full analysis
-        set (cached after the first call; recording happens at most once
-        per spec across the whole engine)."""
-        cached = self._runs.get(app_name)
-        if cached is not None:
-            return cached
-        spec = self.spec_for(app_name)
-        cache_probe = MemoryTraceProbe()
-        session = NVScavenger(extra_probes=[cache_probe]).replay_session()
-        artifact = self.engine.replay(spec, session.probe, stack=session.stack)
-        result = session.result(
-            footprint_bytes=artifact.meta["footprint_bytes"],
-            n_main_iterations=self.n_iterations,
-        )
-        run = AppRun(
-            app=spec.instantiate(),
-            result=result,
-            memory_trace=cache_probe.memory_trace,
-            cache_probe=cache_probe,
-            instructions=artifact.meta["instructions"],
-        )
-        self._runs[app_name] = run
+        """*app_name*'s :class:`AppRun`, whose analyses replay the recorded
+        artifact on first access (the run is cached per context;
+        recording happens at most once per spec across the whole
+        engine)."""
+        run = self._runs.get(app_name)
+        if run is None:
+            run = self._runs[app_name] = AppRun(
+                self.engine, self.spec_for(app_name), self.n_iterations)
         return run
 
     def all_runs(self) -> dict[str, AppRun]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from repro.experiments.common import APP_ORDER, ExperimentContext, ExperimentResult
 from repro.scavenger.report import format_table
 from repro.util.textplot import line_chart
-from repro.util.units import MiB
 
 #: Paper's unused-in-main-loop masses.
 PAPER_UNUSED = {"nek5000": 0.243, "cam": 0.115, "s3d": 7.1 / 512.0}

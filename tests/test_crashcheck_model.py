@@ -14,7 +14,6 @@ import pytest
 
 from repro.crashcheck import (
     BLOCK,
-    MarkLog,
     ProtocolSpec,
     RecordingFS,
     Schedule,

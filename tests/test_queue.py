@@ -41,7 +41,6 @@ from repro.experiments.common import ExperimentResult
 from repro.experiments.runner import EXPERIMENTS, run_all
 from repro.sched.events import TASK_RETRIED, TASK_STARTED, EventLog
 from repro.sched.graph import (
-    EXPERIMENT_PREFIX,
     ExperimentTask,
     RecordTask,
     TaskGraph,
