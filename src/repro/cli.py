@@ -27,10 +27,9 @@ Subcommands:
   K/M/G suffixes) by LRU eviction on each artifact's ``last_access``
   stamp (written on every cache hit; ``meta.json`` mtime is the
   fallback for pre-stamp caches), never evicting artifacts whose
-  cross-process lock is held; finished suite-run journals under
-  ``<root>/runs/`` are evicted first, unfinished (resumable) ones never,
-  and spec keys a live ``serve`` daemon advertises as in use are
-  protected automatically;
+  cross-process lock is held or that a live ``serve`` daemon's
+  requests pin; finished suite-run journals under ``<root>/runs/`` are
+  evicted first, unfinished (resumable) ones never;
 * ``serve`` — run the analysis daemon: JSON-over-HTTP requests answered
   from the artifact cache with admission control, single-flight dedup,
   circuit breakers, and graceful SIGTERM drain (exit ``128 + signum``);
@@ -187,17 +186,8 @@ def cmd_engine(args: argparse.Namespace) -> int:
         return 0 if report.clean else 1
 
     if args.action == "gc":
-        from repro.service.active import read_active_keys
-
         cache = ArtifactCache(args.cache_dir)
-        # a live `nvscavenger serve` daemon advertises the spec keys its
-        # admitted requests reference; never evict those out from under it
-        protect = read_active_keys(args.cache_dir)
-        report = cache.gc(_parse_bytes(args.max_bytes), protect=protect)
-        if protect:
-            print(f"protecting {len(protect)} key(s) in use by a live "
-                  f"service daemon")
-        print(report.summary())
+        print(cache.gc(_parse_bytes(args.max_bytes)).summary())
         return 0
 
     if args.action == "ls":

@@ -36,7 +36,8 @@ Robustness around that layout:
   stamp refreshed on every cache hit (``meta.json``'s mtime is the
   fallback for pre-stamp caches; atime is never consulted because
   ``noatime``/``relatime`` mounts freeze it), never evicting a key whose
-  lock is currently held;
+  lock is currently held or that a reader has pinned
+  (:meth:`ArtifactCache.pin`);
 * the root also hosts ``<root>/runs/<run-id>/`` — one write-ahead
   journal per scheduled suite run (:mod:`repro.sched.journal`). gc
   counts them against the budget and evicts *finished* runs (their
@@ -71,7 +72,7 @@ from repro.trace.fsio import (
 )
 from repro.trace.record import RefBatch
 
-from repro.engine.locks import KeyLock, pid_alive
+from repro.engine.locks import KeyLock, pid_alive, pin, unpinned
 from repro.engine.spec import RunSpec
 
 _log = logging.getLogger("repro.engine.cache")
@@ -754,6 +755,15 @@ class ArtifactCache:
         return KeyLock(os.path.join(self.root, ".locks", key + ".lock"),
                        fence=self.fence)
 
+    def _pin_path(self, key: str) -> str:
+        return os.path.join(self.root, ".locks", key + ".pin")
+
+    def pin(self, key: str) -> int:
+        """Keep :meth:`gc` away from *key* until the returned descriptor
+        goes to :func:`~repro.engine.locks.unpin` (or this process dies).
+        Blocks only while a gc is removing the key's directory."""
+        return pin(self._pin_path(key))
+
     def get(self, spec: RunSpec) -> Artifact | None:
         """The committed artifact for *spec*, or None if absent/partial.
 
@@ -1063,7 +1073,20 @@ class ArtifactCache:
         return report
 
     # -- gc -------------------------------------------------------------
-    def gc(self, max_bytes: int, protect: tuple[str, ...] = ()) -> GcReport:
+    def _remove_unpinned(self, key: str, path: str) -> bool | None:
+        """``rmtree`` *key*'s directory *path* while holding its pin
+        exclusively: True once removed, False when a reader pins the key
+        (nothing is touched), None when the removal failed."""
+        with unpinned(self._pin_path(key)) as free:
+            if not free:
+                return False
+            try:
+                shutil.rmtree(path)
+            except OSError:
+                return None
+        return True
+
+    def gc(self, max_bytes: int) -> GcReport:
         """Shrink the cache under *max_bytes* by LRU eviction.
 
         Partial directories (no commit marker) whose key lock is free are
@@ -1076,12 +1099,13 @@ class ArtifactCache:
         stamp :meth:`get` refreshes on every cache hit, falling back to
         ``meta.json``'s mtime for artifacts written before the stamp
         existed (atime is deliberately not consulted — it is frozen on
-        ``noatime`` mounts). A key in *protect*, or whose cross-process
-        lock is currently held (a recorder or scrubber is using it), is
-        never evicted — the report flags when that leaves the cache over
-        budget.
+        ``noatime`` mounts). A key whose cross-process lock is held (a
+        recorder is using it) or that a reader has pinned (:meth:`pin`)
+        is never evicted — the report flags when that leaves the cache
+        over budget. The pin is checked by an exclusive try-lock held
+        across the key's ``rmtree``, so a pin taken at any time before
+        the removal starts keeps the key.
         """
-        protected = set(protect)
         candidates: list[tuple[float, str, str, int]] = []
         q_candidates: list[tuple[float, str, str, int]] = []
         run_candidates: list[tuple[float, str, str, int]] = []
@@ -1144,18 +1168,16 @@ class ArtifactCache:
                 in_use = True
             meta_path = os.path.join(path, "meta.json")
             if not os.path.exists(meta_path):
-                if in_use:
-                    before += size
-                    skipped.append(name)
-                    continue
-                try:
-                    shutil.rmtree(path)
+                removed = False if in_use else self._remove_unpinned(name, path)
+                if removed:
                     removed_partial += 1
-                except OSError:
-                    before += size
+                    continue
+                before += size
+                if removed is False:
+                    skipped.append(name)
                 continue
             before += size
-            if name in protected or in_use:
+            if in_use:
                 skipped.append(name)
                 continue
             try:
@@ -1179,10 +1201,17 @@ class ArtifactCache:
             for _ts, name, path, size in pool:
                 if total <= max_bytes:
                     break
-                try:
-                    shutil.rmtree(path)
-                except OSError:
-                    continue
+                if sink is evicted:
+                    removed = self._remove_unpinned(name, path)
+                    if removed is False:
+                        skipped.append(name)
+                    if not removed:
+                        continue
+                else:
+                    try:
+                        shutil.rmtree(path)
+                    except OSError:
+                        continue
                 total -= size
                 sink.append(name)
         return GcReport(

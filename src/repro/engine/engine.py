@@ -401,10 +401,12 @@ class PipelineEngine:
         scrub is chunk-stored-CRC granular, so it does not decompress
         payloads — decoding stays lazy for the replay itself. With
         ``self_heal=False`` the scrub still runs but corruption raises
-        directly instead of quarantining and re-recording."""
+        directly instead of quarantining and re-recording. A key already
+        scrubbed is served from its open handle without another cache
+        lookup, so ``cache_hits`` counts each key once per engine."""
+        if spec.key in self._verified:
+            return self._handles[spec.key].art
         art = self.record(spec)
-        if art.key in self._verified:
-            return art
         if not self.self_heal:
             self._verify_handle(self._handle(art))
             self._verified.add(art.key)

@@ -25,6 +25,13 @@ an artifact commit made under a stale token is refused with
 :class:`~repro.errors.FencedOutError` — the resurrected holder can only
 discard its work.
 
+A **pin** is the shared counterpart: :func:`pin` takes a shared
+``flock`` on a key's ``.pin`` file (never its ``.lock``, which a
+recorder holds exclusively), so any number of readers can hold a key
+while :func:`unpinned` — the garbage collector's exclusive try-lock —
+fails until the last of them lets go. The kernel drops a dead holder's
+pins like its locks.
+
 On platforms without ``fcntl`` (Windows) the lock degrades to a no-op:
 single-process use stays correct, and the cache's commit-marker protocol
 still bounds the damage of a true multi-writer race to a wasted
@@ -33,9 +40,11 @@ re-record.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 try:
     import fcntl
@@ -46,6 +55,12 @@ from repro.errors import CacheLockError, FencedOutError
 
 #: Poll interval while waiting on a contended lock with a timeout.
 _POLL_S = 0.01
+
+#: Descriptors of the pins this process holds. A forked child inherits
+#: them, and a ``flock`` lasts while any descriptor of its open file
+#: does, so a child that outlives a release would keep the key pinned:
+#: it calls :func:`drop_inherited_pins` first.
+_PINS: set[int] = set()
 
 
 # ----------------------------------------------------------------------
@@ -231,3 +246,59 @@ class KeyLock:
 
     def __exit__(self, *exc: object) -> None:
         self.release()
+
+
+# ----------------------------------------------------------------------
+def pin(path: str) -> int:
+    """Take a shared ``flock`` on *path* (created if missing) and return
+    its descriptor; :func:`unpin` it to let go. Waits only while
+    :func:`unpinned` holds the file, that is while a gc removes this
+    very key."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    fd = os.open(path, os.O_CREAT | os.O_RDONLY, 0o644)
+    try:
+        if fcntl is not None:
+            fcntl.flock(fd, fcntl.LOCK_SH)
+    except BaseException:
+        os.close(fd)
+        raise
+    _PINS.add(fd)
+    return fd
+
+
+def unpin(fd: int) -> None:
+    _PINS.discard(fd)
+    os.close(fd)
+
+
+def drop_inherited_pins() -> None:
+    """In a forked child: close the pin descriptors copied from the
+    parent. Closing (never ``LOCK_UN``, which would unlock the parent's
+    open file too) leaves the parent's pins exactly as they were."""
+    for fd in _PINS:
+        os.close(fd)
+    _PINS.clear()
+
+
+@contextlib.contextmanager
+def unpinned(path: str) -> Iterator[bool]:
+    """Yield False while any process pins *path*; else yield True and
+    hold it exclusively for the block, so no pin lands meanwhile.
+
+    A missing file was never pinned: it yields True and is not
+    created."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except FileNotFoundError:
+        yield True
+        return
+    try:
+        try:
+            if fcntl is not None:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            free = True
+        except BlockingIOError:
+            free = False
+        yield free
+    finally:
+        os.close(fd)

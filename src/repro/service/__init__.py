@@ -20,9 +20,12 @@ artifact cache. The robustness machinery is the headline:
   SIGTERM stops admission, drains in-flight requests within a grace
   window, journals unfinished work with a resume hint, and exposes
   ``/healthz`` (liveness) and ``/readyz`` (readiness);
-* **gc protection** (:mod:`repro.service.active`) — the daemon
-  advertises its in-flight spec keys so ``engine gc`` never evicts an
-  artifact a live request is about to read.
+* **gc protection** (:mod:`repro.service.server`) — each admitted
+  request pins its spec key with a shared ``flock``
+  (:meth:`~repro.engine.artifacts.ArtifactCache.pin`), so no
+  ``engine gc``, in this process or another, evicts an artifact a live
+  request is about to read; the kernel drops the pins of a daemon that
+  dies.
 """
 
 from repro.service.admission import AdmissionController

@@ -53,8 +53,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.engine.artifacts import ArtifactCache
+from repro.engine.locks import unpin
 from repro.errors import TraceError
-from repro.service.active import service_dir, write_active_keys
 from repro.service.admission import AdmissionController
 from repro.service.breaker import OPEN, BreakerBoard
 from repro.service.protocol import (
@@ -78,8 +78,14 @@ _MAX_HEADERS = 100
 #: Extra slack on top of a request's own deadline before the front end
 #: force-fails it — the absolute no-hang backstop.
 _DISPATCH_SLACK_S = 10.0
+#: Subdirectory of the cache root owned by the service layer.
+SERVICE_DIR = "service"
 #: File journaling in-flight keys at shutdown.
 DRAIN_FILE = "drain.json"
+
+
+def service_dir(root: str | os.PathLike) -> str:
+    return os.path.join(os.fspath(root), SERVICE_DIR)
 
 
 def _swallow(fn):
@@ -112,7 +118,6 @@ class ServeConfig:
     root_breaker_threshold: int = 10
     cache_budget_bytes: int | None = None
     gc_interval_s: float = 30.0
-    active_refresh_s: float = 5.0
     chaos_scenario: str | None = None
     chaos_seed: int = 0
     ready_file: str | None = None
@@ -138,8 +143,8 @@ class AnalysisService:
             max_workers=cfg.max_inflight + 4, thread_name_prefix="svc")
         #: key -> (future every waiter awaits, the in-flight handle)
         self._inflight: dict[str, tuple[asyncio.Future, RecordHandle]] = {}
-        #: refcounts of spec keys referenced by admitted requests
-        self._active: Counter[str] = Counter()
+        #: key -> the pin its admitted request holds (None: pin failed)
+        self._pins: dict[str, int | None] = {}
         #: keys scrubbed once by this daemon (mirrors the engine's set)
         self._verified: set[str] = set()
         #: key -> content digest (warm responses skip re-hashing)
@@ -158,7 +163,7 @@ class AnalysisService:
         return {
             **{k: self.stats[k] for k in sorted(self.stats)},
             "inflight_keys": len(self._inflight),
-            "active_keys": len(self._active),
+            "active_keys": len(self._pins),
             "admission": self.admission.snapshot(),
             "breakers": self.breakers.snapshot(),
             "draining": self.draining,
@@ -166,31 +171,31 @@ class AnalysisService:
         }
 
     # -- active-key accounting (gc protection) --------------------------
-    def protect_keys(self) -> tuple[str, ...]:
-        """The spec keys gc must not evict right now."""
-        return tuple(self._active)
-
     def _retain(self, key: str) -> None:
-        self._active[key] += 1
-        self._publish_active()
+        """Pin *key* for its admitted request, so no ``gc`` (this
+        daemon's or another process's) evicts it until
+        :meth:`_release_key`, and none is kept from it once this process
+        dies. Single-flight runs one execution per key at a time, so a
+        key is retained at most once before its release.
+
+        Runs on an executor thread, as the pin waits while a gc removes
+        this very key. A pin that cannot be taken (a read-only cache
+        root) costs gc protection, not the request."""
+        try:
+            self._pins[key] = self.cache.pin(key)
+        except OSError:
+            self._pins[key] = None
+            _log.debug("could not pin %s", key[:12], exc_info=True)
 
     def _release_key(self, key: str) -> None:
-        self._active[key] -= 1
-        if self._active[key] <= 0:
-            del self._active[key]
-        self._publish_active()
+        fd = self._pins.pop(key, None)
+        if fd is not None:
+            unpin(fd)
 
-    def _publish_active(self) -> None:
-        """Fire-and-forget snapshot write; the heartbeat loop corrects
-        any stale last-writer-wins race within ``active_refresh_s``."""
-        keys = self.protect_keys()
-        try:
-            loop = asyncio.get_running_loop()
-        except RuntimeError:  # unit tests drive the service synchronously
-            return
-        loop.run_in_executor(
-            self._executor, _swallow(write_active_keys),
-            self.cfg.cache_root, keys, self.cache.fs)
+    def _pinned_hit(self, spec) -> dict | None:
+        """Executor job: pin the key, then try the cache fast path."""
+        self._retain(spec.key)
+        return self._verified_hit(spec)
 
     # -- request path ---------------------------------------------------
     async def handle_analyze(self, payload: object) -> tuple[int, dict, dict]:
@@ -264,14 +269,13 @@ class AnalysisService:
             fut.set_result(result)
 
     async def _execute(self, spec, key: str, handle: RecordHandle) -> dict:
-        """Admission → cache fast path → breaker → killable record."""
+        """Admission → pin → cache fast path → breaker → killable record."""
         await self.admission.acquire(handle.deadline)
         t_exec = self._clock()
         loop = asyncio.get_running_loop()
-        self._retain(key)
         try:
             hit = await loop.run_in_executor(
-                self._executor, self._verified_hit, spec)
+                self._executor, self._pinned_hit, spec)
             if hit is not None:
                 self.stats["cache_hits"] += 1
                 return hit
@@ -377,19 +381,9 @@ class AnalysisService:
             headers["Retry-After"] = str(max(1, math.ceil(retry)))
         return ERROR_STATUS.get(code, 500), body, headers
 
-    # -- background loops ----------------------------------------------
-    async def heartbeat_loop(self) -> None:
-        """Periodically refresh the active-keys snapshot so a reader's
-        staleness check sees a live daemon."""
-        loop = asyncio.get_running_loop()
-        while True:
-            await loop.run_in_executor(
-                self._executor, _swallow(write_active_keys),
-                self.cfg.cache_root, self.protect_keys(), self.cache.fs)
-            await asyncio.sleep(self.cfg.active_refresh_s)
-
+    # -- background loop -----------------------------------------------
     async def gc_loop(self) -> None:
-        """Enforce the cache byte budget without ever evicting a key an
+        """Enforce the cache byte budget; the pins keep every key an
         admitted request references."""
         loop = asyncio.get_running_loop()
         while True:
@@ -398,9 +392,7 @@ class AnalysisService:
             if budget is None:
                 continue
             report = await loop.run_in_executor(
-                self._executor,
-                _swallow(functools.partial(
-                    self.cache.gc, budget, protect=self.protect_keys())))
+                self._executor, _swallow(self.cache.gc), budget)
             if report is not None and report.evicted:
                 self.stats["gc_evicted"] += len(report.evicted)
 
@@ -426,8 +418,7 @@ class AnalysisService:
         self._executor.shutdown(wait=False, cancel_futures=True)
 
     def _journal_drain(self, signum: int, interrupted: list[str]) -> None:
-        """Journal unfinished work with a resume hint, and retire the
-        active-keys snapshot (nothing is in flight any more)."""
+        """Journal unfinished work with a resume hint."""
         try:
             fs = self.cache.fs
             directory = service_dir(self.cfg.cache_root)
@@ -441,7 +432,6 @@ class AnalysisService:
                         "re-issue the requests after restart — anything "
                         "already committed is served from cache",
             }, indent=2), fs)
-            write_active_keys(self.cfg.cache_root, (), fs=fs)
         except OSError:
             _log.warning("could not journal drain state", exc_info=True)
 
@@ -618,8 +608,7 @@ async def _serve_async(cfg: ServeConfig) -> int:
     for sig in (signal.SIGINT, signal.SIGTERM):
         loop.add_signal_handler(sig, _on_signal, sig)
 
-    background = [asyncio.create_task(service.heartbeat_loop()),
-                  asyncio.create_task(service.gc_loop())]
+    background = [asyncio.create_task(service.gc_loop())]
     print(f"serving on http://{host}:{port} (cache {cfg.cache_root})",
           flush=True)
     if cfg.ready_file:

@@ -26,6 +26,7 @@ import time
 
 from repro.engine.artifacts import ArtifactCache
 from repro.engine.engine import PipelineEngine
+from repro.engine.locks import drop_inherited_pins
 from repro.errors import ReproError
 
 #: Poll interval while waiting on a worker's result pipe.
@@ -70,6 +71,9 @@ def _record_child(spec, cache_root: str, chaos_scenario: str | None,
     Every expected failure becomes a structured payload; only a kill
     leaves the parent without a message (which it treats as a crash).
     """
+    # A fork copies the daemon's pins on other keys; holding them would
+    # keep those keys from gc until this recording ends.
+    drop_inherited_pins()
     # Undo the signal plumbing a fork child inherits from the daemon's
     # asyncio loop. The loop's ``add_signal_handler`` installs a no-op
     # disposition plus a ``set_wakeup_fd`` socketpair — both survive the

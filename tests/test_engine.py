@@ -83,6 +83,14 @@ class TestCaching:
         assert eng2.stats.cache_hits == 1
         assert sum(len(b) for b in probe.memory_trace) <= art.meta["refs"]
 
+    def test_repeat_replays_count_one_cache_hit(self, tmp_path):
+        spec = RunSpec(app="gtc", **SPEC)
+        make_engine(tmp_path).record(spec)
+        eng = make_engine(tmp_path)
+        for _ in range(3):
+            eng.replay(spec, MemoryTraceProbe())
+        assert (eng.stats.cache_hits, eng.stats.replays) == (1, 3)
+
     def test_partial_artifact_is_a_miss(self, tmp_path):
         eng = make_engine(tmp_path)
         spec = RunSpec(app="gtc", **SPEC)

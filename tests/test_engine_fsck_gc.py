@@ -11,6 +11,7 @@ import pytest
 from repro import cli
 from repro.engine import ArtifactCache, PipelineEngine, RunSpec
 from repro.engine.chaos import flip_file_bit
+from repro.engine.locks import unpin
 from repro.engine.artifacts import (
     STAGE_MARKER,
     STAGE_TTL_S,
@@ -218,11 +219,53 @@ class TestGc:
         assert cache.get(specs[1]) is None  # the free one was evicted
 
     def test_protect_keys(self, tmp_path):
+        """A pinned key is kept and reported in use until unpinned."""
         cache, specs = populate(tmp_path, n=2)
-        report = cache.gc(max_bytes=0, protect=(specs[1].key,))
+        fd = cache.pin(specs[1].key)
+        try:
+            report = cache.gc(max_bytes=0)
+        finally:
+            unpin(fd)
         assert cache.get(specs[1]) is not None
-        assert specs[1].key in report.skipped_in_use
+        assert report.skipped_in_use == [specs[1].key]
         assert cache.get(specs[0]) is None
+        assert cache.gc(max_bytes=0).evicted == [specs[1].key]
+
+    def test_pin_taken_after_the_scan_still_blocks_eviction(
+            self, tmp_path, monkeypatch):
+        """gc checks the pin while it holds it across the removal, so a
+        pin landing between the scan and the eviction keeps the key."""
+        cache, specs = populate(tmp_path, n=1)
+        fds = []
+        scan = cache._artifact_dirs
+
+        def scan_then_pin():
+            yield from scan()
+            fds.append(cache.pin(specs[0].key))
+
+        monkeypatch.setattr(cache, "_artifact_dirs", scan_then_pin)
+        try:
+            report = cache.gc(max_bytes=0)
+        finally:
+            for fd in fds:
+                unpin(fd)
+        assert fds and report.skipped_in_use == [specs[0].key]
+        assert cache.get(specs[0]) is not None
+
+    def test_pinned_partial_dir_is_kept(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        spec = make_spec(seed=99)
+        pending = cache.begin(spec)
+        pending.writer.close()
+        pending._finish()  # a crashed recording: no commit marker
+        fd = cache.pin(spec.key)
+        try:
+            report = cache.gc(max_bytes=0)
+        finally:
+            unpin(fd)
+        assert report.removed_partial == 0
+        assert report.skipped_in_use == [spec.key]
+        assert cache.gc(max_bytes=0).removed_partial == 1
 
     def test_partials_are_removed_first(self, tmp_path):
         cache, specs = populate(tmp_path, n=1)

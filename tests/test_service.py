@@ -16,8 +16,10 @@ The contract under test:
   leaking the key lock or a partial artifact — the cache stays
   recordable and a follow-up request succeeds (the satellite (c)
   regression);
-* a live daemon's in-flight spec keys survive ``gc`` (the satellite (b)
-  regression), while a dead daemon's stale snapshot protects nothing.
+* a live daemon's in-flight spec keys are pinned: ``engine gc`` run in
+  another process (or the daemon's own gc loop) keeps them while a
+  request reads, records or has coalesced waiters, and evicts them after
+  the response; a SIGKILLed pinner protects nothing.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ import asyncio
 import json
 import multiprocessing
 import os
+import re
+import signal
+import subprocess
 import sys
 import threading
 import time
@@ -34,13 +39,9 @@ import pytest
 
 from repro.engine.artifacts import ArtifactCache
 from repro.engine.engine import PipelineEngine
+from repro.engine.locks import unpin
 from repro.engine.spec import RunSpec
-from repro.service.active import (
-    active_keys_path,
-    clear_active_keys,
-    read_active_keys,
-    write_active_keys,
-)
+from repro.sched.workers import default_start_method
 from repro.service.admission import AdmissionController
 from repro.service.breaker import CLOSED, HALF_OPEN, OPEN, BreakerBoard, CircuitBreaker
 from repro.service.protocol import (
@@ -446,103 +447,68 @@ class TestRecordWorker:
 
 
 # ----------------------------------------------------------------------
-class TestActiveKeys:
-    def test_round_trip(self, tmp_path):
-        write_active_keys(tmp_path, ["b", "a", "a"])
-        assert read_active_keys(tmp_path) == ("a", "b")
-        clear_active_keys(tmp_path)
-        assert read_active_keys(tmp_path) == ()
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
-    def test_missing_and_torn_files_read_as_empty(self, tmp_path):
-        assert read_active_keys(tmp_path) == ()
-        os.makedirs(os.path.dirname(active_keys_path(tmp_path)),
-                    exist_ok=True)
-        with open(active_keys_path(tmp_path), "w") as fh:
-            fh.write('{"pid": 1, "upd')  # torn mid-write
-        assert read_active_keys(tmp_path) == ()
 
-    def test_concurrent_writers_never_tear_the_snapshot(self, tmp_path):
-        """The daemon publishes snapshots from several executor threads
-        at once: no write may fail, and a reader polling meanwhile never
-        sees an unparseable file."""
-        write_active_keys(tmp_path, ["k"])
-        path = active_keys_path(tmp_path)
-        errors, bad_reads = [], []
-        writing = True
+def gc_elsewhere(root) -> int:
+    """Run ``engine gc --max-bytes 0`` in another process; returns how
+    many artifacts it kept as in use."""
+    out = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "engine", "gc",
+         "--cache-dir", str(root), "--max-bytes", "0"],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+        text=True, timeout=120, check=True).stdout
+    kept = re.search(r"kept (\d+) in-use", out)
+    return int(kept.group(1)) if kept else 0
 
-        def writer(n):
-            for i in range(100):
-                try:
-                    write_active_keys(tmp_path, [f"k{n}-{i}"])
-                except Exception as exc:  # noqa: BLE001 — collect, assert
-                    errors.append(exc)
 
-        def reader():
-            while writing:
-                try:
-                    with open(path) as fh:
-                        json.load(fh)
-                except (OSError, ValueError) as exc:
-                    bad_reads.append(exc)
+def committed(cache: ArtifactCache, spec: RunSpec) -> bool:
+    """Whether *spec* has a commit marker (without stamping its use)."""
+    return os.path.exists(os.path.join(cache.dir_for(spec.key), "meta.json"))
 
-        poller = threading.Thread(target=reader)
-        writers = [threading.Thread(target=writer, args=(n,))
-                   for n in range(6)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            poller.start()
-            for t in writers:
-                t.start()
-            for t in writers:
-                t.join(timeout=60.0)
-            writing = False
-            poller.join(timeout=60.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in writers + [poller])
-        assert not errors, f"{len(errors)} writes failed: {errors[0]!r}"
-        assert not bad_reads, (
-            f"{len(bad_reads)} unparseable reads: {bad_reads[0]!r}")
-        assert len(read_active_keys(tmp_path)) == 1
 
-    def test_stale_snapshot_is_a_dead_daemon(self, tmp_path):
-        write_active_keys(tmp_path, ["k"])
-        path = active_keys_path(tmp_path)
-        payload = json.load(open(path))
-        payload["updated"] -= 3600.0
-        json.dump(payload, open(path, "w"))
-        assert read_active_keys(tmp_path) == ()
-        assert read_active_keys(tmp_path, max_age_s=7200) == ("k",)
-
+class TestPins:
     def test_gc_protects_live_daemons_keys(self, tmp_path):
-        """The satellite (b) regression: an operator's ``engine gc``
-        against a live daemon's root must not evict in-flight keys."""
+        """A pinned key survives ``engine gc`` run in another process,
+        which reports it in use; once unpinned, the same gc evicts it."""
         cache = ArtifactCache(tmp_path)
         engine = PipelineEngine(cache=cache)
         keep, evict = small_spec(seed=1), small_spec(seed=2)
         engine.record(keep)
         engine.record(evict)
-        write_active_keys(tmp_path, [keep.key])
-        protect = read_active_keys(tmp_path)
-        report = cache.gc(0, protect=protect)  # zero budget: evict all
-        assert cache.get(keep) is not None     # protected key survived
-        assert cache.get(evict) is None
-        assert keep.key not in report.evicted
+        fd = cache.pin(keep.key)
+        try:
+            assert gc_elsewhere(tmp_path) == 1
+            assert committed(cache, keep)
+            assert not committed(cache, evict)
+        finally:
+            unpin(fd)
+        assert gc_elsewhere(tmp_path) == 0
+        assert not committed(cache, keep)
 
     def test_gc_ignores_stale_protection(self, tmp_path):
+        """The kernel drops a SIGKILLed process's pins with it."""
         cache = ArtifactCache(tmp_path)
-        engine = PipelineEngine(cache=cache)
         spec = small_spec()
-        engine.record(spec)
-        write_active_keys(tmp_path, [spec.key])
-        path = active_keys_path(tmp_path)
-        payload = json.load(open(path))
-        payload["updated"] -= 3600.0
-        json.dump(payload, open(path, "w"))
-        protect = read_active_keys(tmp_path)
-        cache.gc(0, protect=protect)
-        assert cache.get(spec) is None  # dead daemon protects nothing
+        PipelineEngine(cache=cache).record(spec)
+        holder = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys, time\n"
+             "from repro.engine.artifacts import ArtifactCache\n"
+             "ArtifactCache(sys.argv[1]).pin(sys.argv[2])\n"
+             "print('pinned', flush=True)\n"
+             "time.sleep(600)\n", str(tmp_path), spec.key],
+            env=dict(os.environ, PYTHONPATH=SRC), stdout=subprocess.PIPE,
+            text=True)
+        try:
+            assert holder.stdout.readline().strip() == "pinned"
+            assert cache.gc(0).skipped_in_use == [spec.key]
+        finally:
+            holder.send_signal(signal.SIGKILL)
+            holder.wait(timeout=30)
+            holder.stdout.close()
+        assert cache.gc(0).evicted == [spec.key]
 
 
 # ----------------------------------------------------------------------
@@ -554,6 +520,30 @@ def make_service(tmp_path, **kw) -> AnalysisService:
 
 REQ = {"app": "gtc", "refs_per_iteration": 300, "scale": 1.0 / 256.0,
        "n_iterations": 2}
+
+
+def hold_cache_hits(svc: AnalysisService):
+    """Hold each of *svc*'s cache hits in its executor thread, after the
+    read, until ``release`` is set; ``entered`` is set on the first."""
+    entered, release = threading.Event(), threading.Event()
+    real = svc._verified_hit
+
+    def held(spec):
+        out = real(spec)
+        if out is not None:
+            entered.set()
+            release.wait(60.0)
+        return out
+
+    svc._verified_hit = held
+    return entered, release
+
+
+async def until(predicate, timeout: float = 60.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        await asyncio.sleep(0.01)
 
 
 class TestAnalysisService:
@@ -694,19 +684,94 @@ class TestAnalysisService:
         run(scenario())
 
     def test_in_flight_keys_are_advertised_for_gc(self, tmp_path):
+        """A key whose request is reading the cache, with a coalesced
+        waiter, is pinned: gc in another process keeps it; after both
+        responses the same gc evicts it."""
         async def scenario():
             svc = make_service(tmp_path)
-            heavy = {"app": "gtc", "refs_per_iteration": 1_000_000,
-                     "scale": 1.0, "n_iterations": 10}
-            spec, _ = parse_request(heavy)
-            task = asyncio.ensure_future(svc.handle_analyze(heavy))
-            while not svc.protect_keys():  # admitted -> advertised
-                await asyncio.sleep(0.01)
-            assert spec.key in svc.protect_keys()
-            for _fut, handle in svc._inflight.values():
-                handle.cancel()
-            await task
-            assert spec.key not in svc.protect_keys()  # released after
+            spec, _ = parse_request(REQ)
+            assert (await svc.handle_analyze(REQ))[0] == 200
+            entered, release = hold_cache_hits(svc)
+            first = asyncio.ensure_future(svc.handle_analyze(REQ))
+            await until(entered.is_set)
+            second = asyncio.ensure_future(svc.handle_analyze(REQ))
+            await until(lambda: svc.stats["coalesced"] == 1)
+            assert gc_elsewhere(svc.cfg.cache_root) == 1
+            assert committed(svc.cache, spec)
+            release.set()
+            assert [(await t)[0] for t in (first, second)] == [200, 200]
+            assert gc_elsewhere(svc.cfg.cache_root) == 0
+            assert not committed(svc.cache, spec)
+            svc._executor.shutdown(wait=True)
+        run(scenario())
+
+    @pytest.mark.skipif(default_start_method() != "fork",
+                        reason="the record child must inherit a patched "
+                               "engine")
+    def test_recording_key_pinned_until_response_and_child_drops_pins(
+            self, tmp_path, monkeypatch):
+        """Key B records in a child forked while key A is pinned. After
+        the child commits B (freeing B's key lock) only the daemon's pin
+        keeps B; A, released meanwhile, is evictable although the child
+        that copied A's pin still runs."""
+        go, done = tmp_path / "go", tmp_path / "committed"
+
+        class HeldEngine(PipelineEngine):
+            def verified_artifact(self, spec):
+                art = super().verified_artifact(spec)
+                done.touch()
+                while not go.exists():
+                    time.sleep(0.01)
+                return art
+
+        monkeypatch.setattr("repro.service.worker.PipelineEngine",
+                            HeldEngine)
+
+        async def scenario():
+            svc = make_service(tmp_path)
+            req_a, req_b = REQ, dict(REQ, seed=7)
+            spec_a, spec_b = (parse_request(r)[0] for r in (req_a, req_b))
+            PipelineEngine(cache=svc.cache).record(spec_a)
+            entered, release = hold_cache_hits(svc)
+            task_a = asyncio.ensure_future(svc.handle_analyze(req_a))
+            await until(entered.is_set)
+            task_b = asyncio.ensure_future(svc.handle_analyze(req_b))
+            await until(done.exists)
+            release.set()
+            assert (await task_a)[0] == 200
+            assert gc_elsewhere(svc.cfg.cache_root) == 1
+            assert not committed(svc.cache, spec_a)
+            assert committed(svc.cache, spec_b)
+            go.touch()
+            status, body, _ = await task_b
+            assert status == 200 and body["cached"] is False
+            assert gc_elsewhere(svc.cfg.cache_root) == 0
+            assert not committed(svc.cache, spec_b)
+            svc._executor.shutdown(wait=True)
+        run(scenario())
+
+    def test_gc_loop_skips_pinned_keys(self, tmp_path):
+        async def scenario():
+            svc = make_service(tmp_path, cache_budget_bytes=0,
+                               gc_interval_s=0.05)
+            held, other = REQ, dict(REQ, seed=5)
+            spec_held, spec_other = (parse_request(r)[0]
+                                     for r in (held, other))
+            for req in (held, other):
+                assert (await svc.handle_analyze(req))[0] == 200
+            entered, release = hold_cache_hits(svc)
+            task = asyncio.ensure_future(svc.handle_analyze(held))
+            await until(entered.is_set)
+            gc = asyncio.ensure_future(svc.gc_loop())
+            try:
+                await until(lambda: not committed(svc.cache, spec_other))
+                await asyncio.sleep(0.2)  # a few more passes
+                assert committed(svc.cache, spec_held)
+                release.set()
+                assert (await task)[0] == 200
+                await until(lambda: not committed(svc.cache, spec_held))
+            finally:
+                gc.cancel()
             svc._executor.shutdown(wait=True)
         run(scenario())
 

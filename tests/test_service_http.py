@@ -12,7 +12,9 @@ The contract under test:
   and the daemon keeps serving afterwards;
 * SIGTERM drains gracefully: ``/readyz`` flips 503 *while the listener
   still answers*, the drain journal lands under the cache root, and the
-  exit code is ``128 + signum`` (143; SIGINT gives 130).
+  exit code is ``128 + signum`` (143; SIGINT gives 130);
+* a SIGKILLed daemon leaves no pins: ``engine gc`` keeps the key of a
+  request the daemon is serving, and evicts it once the daemon is dead.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+
+from tests.test_service import gc_elsewhere
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -60,12 +64,31 @@ class Daemon:
         return request(self.host, self.port, method, path, payload, timeout)
 
 
-def start_daemon(tmp_path, *extra):
+#: ``python -c`` body running the CLI with every cache hit held after
+#: its read, its key pinned, until the daemon dies (``$HOLD_DIR/entered``
+#: marks the first)
+HOLD_HITS = """
+import os, sys, time
+from repro.service.server import AnalysisService
+real = AnalysisService._verified_hit
+def held(self, spec):
+    out = real(self, spec)
+    if out is not None:
+        open(os.path.join(os.environ["HOLD_DIR"], "entered"), "w").close()
+        time.sleep(3600)
+    return out
+AnalysisService._verified_hit = held
+from repro.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def start_daemon(tmp_path, *extra, launcher=("-m", "repro.cli")):
     cache_dir = str(tmp_path / "cache")
     ready = str(tmp_path / "ready")
-    env = dict(os.environ, PYTHONPATH=SRC)
+    env = dict(os.environ, PYTHONPATH=SRC, HOLD_DIR=str(tmp_path))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve",
+        [sys.executable, *launcher, "serve",
          "--cache-dir", cache_dir, "--port", "0",
          "--ready-file", ready, "--grace", "3", *extra],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
@@ -220,10 +243,27 @@ class TestDrain:
         assert d.req("GET", "/healthz")[0] == 200
         assert stop_daemon(d, signal.SIGINT) == 130
 
-    def test_active_keys_snapshot_cleared_after_drain(self, tmp_path):
-        d = start_daemon(tmp_path)
-        assert d.req("POST", "/analyze", REQ)[0] == 200
-        assert stop_daemon(d) == 143
-        from repro.service.active import read_active_keys
 
-        assert read_active_keys(d.cache_dir, max_age_s=3600) == ()
+class TestPins:
+    def test_sigkilled_daemon_pins_nothing(self, tmp_path):
+        d = start_daemon(tmp_path, launcher=("-c", HOLD_HITS))
+        try:
+            # recorded in a child, which exits before the response
+            status, body, _ = d.req("POST", "/analyze", REQ)
+            assert status == 200
+            key_dir = os.path.join(d.cache_dir, body["key"][:2], body["key"])
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                held = pool.submit(d.req, "POST", "/analyze", REQ)
+                deadline = time.monotonic() + 30
+                while not (tmp_path / "entered").exists():
+                    assert time.monotonic() < deadline, "hit never held"
+                    time.sleep(0.02)
+                assert gc_elsewhere(d.cache_dir) == 1
+                assert os.path.exists(key_dir)
+                d.proc.send_signal(signal.SIGKILL)
+                d.proc.wait(timeout=30)
+                assert held.exception(timeout=30) is not None
+            assert gc_elsewhere(d.cache_dir) == 0
+            assert not os.path.exists(key_dir)
+        finally:
+            stop_daemon(d)

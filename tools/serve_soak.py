@@ -11,7 +11,10 @@ Drives a real daemon the way a hostile day in production would:
    malformed bodies, unknown apps, over-budget asks, and heavy specs
    with sub-second deadlines (mid-record cancellation);
 3. mid-soak, SIGKILL one in-flight recording worker (the daemon must
-   retry or fail that request cleanly — never hang);
+   retry or fail that request cleanly — never hang), while a separate
+   process runs ``engine gc --max-bytes 0`` in a loop: every key no
+   request pins is evicted again and again, and the keys gc reports in
+   use are printed;
 4. assert the invariant the service exists for: **every** response is
    either a 200 whose digest is bit-identical to every other 200 for
    the same spec, or a structured JSON error with a known code — no
@@ -31,10 +34,12 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -71,10 +76,15 @@ def request(host: str, port: int, method: str, path: str,
         conn.close()
 
 
-def start_daemon(cache_dir: str, ready: str) -> subprocess.Popen:
+def repro_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = (os.path.join(REPO, "src") + os.pathsep
                          + env.get("PYTHONPATH", ""))
+    return env
+
+
+def start_daemon(cache_dir: str, ready: str) -> subprocess.Popen:
+    env = repro_env()
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve",
          "--cache-dir", cache_dir, "--port", "0", "--ready-file", ready,
@@ -161,6 +171,26 @@ def kill_one_worker(daemon_pid: int) -> bool:
     return False
 
 
+def gc_loop(cache_dir: str, stop: threading.Event, in_use: list,
+            failures: list) -> None:
+    """Run ``engine gc --max-bytes 0`` from a separate process until
+    *stop* is set, appending each run's count of in-use keys, or its
+    failure (which ends the loop)."""
+    while not stop.is_set():
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "engine", "gc",
+                 "--cache-dir", cache_dir, "--max-bytes", "0"],
+                env=repro_env(), capture_output=True, text=True,
+                timeout=CLIENT_TIMEOUT_S, check=True)
+        except subprocess.SubprocessError as exc:
+            failures.append(f"{exc} {exc.stderr or ''}"[:800])
+            return
+        kept = re.search(r"kept (\d+) in-use", out.stdout)
+        in_use.append(int(kept.group(1)) if kept else 0)
+        stop.wait(0.2)
+
+
 def main() -> int:
     tmp = tempfile.mkdtemp(prefix="serve-soak-")
     cache_dir = os.path.join(tmp, "cache")
@@ -183,20 +213,38 @@ def main() -> int:
         return check_response(kind, status, body, digests)
 
     # -- phase 1: the full mixed burst, with a worker kill mid-flight --
+    # -- and gc evicting every unpinned key from another process -------
     mix = request_mix(N_REQUESTS)
+    gc_stop, gc_in_use, gc_failures = threading.Event(), [], []
+    gc_thread = threading.Thread(
+        target=gc_loop, args=(cache_dir, gc_stop, gc_in_use, gc_failures))
     t0 = time.monotonic()
-    with ThreadPoolExecutor(max_workers=N_CLIENTS) as pool:
-        futures = [pool.submit(one, item) for item in mix]
-        time.sleep(2.0)  # let recordings start, then murder one worker
-        if kill_one_worker(proc.pid):
-            print("soak: killed one in-flight recording worker")
-        for fut in futures:
-            diag = fut.result(timeout=CLIENT_TIMEOUT_S)
-            if diag:
-                problems.append(diag)
+    gc_thread.start()
+    try:
+        with ThreadPoolExecutor(max_workers=N_CLIENTS) as pool:
+            futures = [pool.submit(one, item) for item in mix]
+            # murder the first recording worker seen; a fixed wait would
+            # miss every one of them in a short burst
+            while not all(f.done() for f in futures):
+                if kill_one_worker(proc.pid):
+                    print("soak: killed one in-flight recording worker")
+                    break
+                time.sleep(0.05)
+            for fut in futures:
+                diag = fut.result(timeout=CLIENT_TIMEOUT_S)
+                if diag:
+                    problems.append(diag)
+    finally:
+        gc_stop.set()
+        gc_thread.join(timeout=CLIENT_TIMEOUT_S)
     wall = time.monotonic() - t0
     if problems:
         fail(f"{len(problems)} bad responses; first 5: {problems[:5]}")
+    if gc_failures or not gc_in_use:
+        fail(f"concurrent gc failed: {gc_failures or 'it never ran'}")
+    print(f"soak: gc ran {len(gc_in_use)} time(s) from another process, "
+          f"reporting {sum(gc_in_use)} in-use key(s) in all "
+          f"(at most {max(gc_in_use)} at once)")
     if proc.poll() is not None:
         fail(f"daemon died during the soak:\n{proc.stdout.read()}")
 
