@@ -9,9 +9,14 @@ model.
 
 from repro.cachesim.config import CacheLevelConfig, CacheHierarchyConfig, TABLE2_CONFIG
 from repro.cachesim.cache import SetAssociativeCache, AccessResult
-from repro.cachesim.hierarchy import ArraySetCache, CacheHierarchy, HierarchyStats
+from repro.cachesim.hierarchy import (
+    FILTER_VERSION,
+    ArraySetCache,
+    CacheHierarchy,
+    HierarchyStats,
+)
 from repro.cachesim.reference import ReferenceCacheHierarchy, reference_impl
-from repro.cachesim.filtered import MemoryTraceProbe
+from repro.cachesim.filtered import FilteredTrace, MemoryTraceProbe
 from repro.cachesim.sampled import SetSampledHierarchy, SampledStats
 
 __all__ = [
@@ -22,6 +27,8 @@ __all__ = [
     "AccessResult",
     "ArraySetCache",
     "CacheHierarchy",
+    "FILTER_VERSION",
+    "FilteredTrace",
     "HierarchyStats",
     "ReferenceCacheHierarchy",
     "reference_impl",

@@ -8,6 +8,7 @@ that "are then used by our memory power simulator".
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -23,6 +24,25 @@ from repro.trace.record import RefBatch
 #: one group; the cap bounds the group's temporaries (and so peak RSS).
 #: A single larger batch is filtered as a group of its own.
 GROUP_REFS = 1 << 14
+
+
+@dataclass(frozen=True)
+class FilteredTrace:
+    """A finished filter's output: the main-memory trace (one batch per
+    input batch that caused memory traffic, plus the end-of-run flush)
+    and the hierarchy's final counters.
+
+    It reads like a finished :class:`MemoryTraceProbe` — ``memory_trace``
+    and ``stats()`` — so consumers take either. The pipeline engine
+    returns one from a stored derived trace
+    (:meth:`~repro.engine.PipelineEngine.memory_trace`).
+    """
+
+    memory_trace: list[RefBatch]
+    hierarchy_stats: HierarchyStats
+
+    def stats(self) -> HierarchyStats:
+        return self.hierarchy_stats
 
 
 class MemoryTraceProbe(Probe):

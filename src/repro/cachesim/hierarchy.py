@@ -285,6 +285,18 @@ def _merge(
     return tuple(out)
 
 
+#: Version of the main-memory trace this simulator (with
+#: :class:`~repro.cachesim.filtered.MemoryTraceProbe`'s per-batch split)
+#: emits. Stored derived traces are keyed by it
+#: (:mod:`repro.engine.memtrace`), and run-spec keys carry no code
+#: version, so bump it whenever the output rows, their order, oids or
+#: iteration tags, or the final :class:`HierarchyStats` change — or a
+#: cache written by the old code serves the old trace.
+#: ``tests/test_derived_trace.py`` pins it together with a digest of one
+#: spec's filtered trace, so such a change fails until both are bumped.
+FILTER_VERSION = 1
+
+
 class CacheHierarchy:
     """Drives reference batches through the levels; exact, vectorized LRU."""
 

@@ -17,7 +17,9 @@ Subcommands:
   engine, replay it, and print the per-stage wall-time / refs-per-second
   table, including the self-healing ``quarantined`` / ``re-recorded``
   counters (``--cache-dir`` reuses artifacts across invocations);
-* ``engine ls`` — list the committed artifacts under a cache root;
+* ``engine ls`` — list the committed artifacts under a cache root (a
+  derived memory trace reads ``memtrace(<app>@<source key prefix>)``;
+  quarantined copies are counted, not listed);
 * ``engine fsck`` — scrub every artifact's CRCs and commit markers;
   ``--repair`` quarantines corruption and deletes partial leftovers.
   Exit 0 when the cache is clean (partial leftovers alone are clean:
@@ -194,24 +196,35 @@ def cmd_engine(args: argparse.Namespace) -> int:
         import json
         import os
 
-        from repro.engine.artifacts import REFS_TV4, Artifact
+        from repro.engine.artifacts import QUARANTINE_SUFFIX, REFS_TV4, Artifact
+        from repro.engine.memtrace import MEMTRACE_KIND
 
         cache = ArtifactCache(args.cache_dir)
         found = 0
         total = 0
+        quarantined = 0
         for dirpath, _dirnames, filenames in sorted(os.walk(cache.root)):
             if "meta.json" not in filenames:
+                continue
+            if QUARANTINE_SUFFIX in os.path.basename(dirpath):
+                quarantined += 1  # out of service, kept for forensics
                 continue
             with open(os.path.join(dirpath, "meta.json")) as fh:
                 meta = json.load(fh)
             spec = meta.get("spec", {})
+            label = spec.get("app", "?")
+            if meta.get("kind") == MEMTRACE_KIND:
+                # a derived trace: name the recording it was filtered from
+                spec = meta.get("source", {})
+                label = (f"memtrace({spec.get('app', '?')}@"
+                         f"{str(meta.get('source_key', '?'))[:8]})")
             art = Artifact(os.path.basename(dirpath), dirpath)
             size = art.size_bytes()
             total += size
             fmt = ("tv4" if os.path.isdir(os.path.join(dirpath, REFS_TV4))
                    else "legacy")
             print(f"{os.path.basename(dirpath)[:12]}  "
-                  f"{spec.get('app', '?'):18s} "
+                  f"{label:18s} "
                   f"refs={meta.get('refs', 0):>8d}  "
                   f"batches={meta.get('n_batches', 0):>4d}  "
                   f"seed={spec.get('seed', '?')}  "
@@ -221,6 +234,8 @@ def cmd_engine(args: argparse.Namespace) -> int:
             print(f"no committed artifacts under {cache.root}")
         else:
             print(f"{found} artifact(s), {fmt_bytes(total)} total")
+        if quarantined:
+            print(f"{quarantined} quarantined copy(ies) not listed")
         return 0
 
     # action == "stats": record one spec, replay it, print the stage table.

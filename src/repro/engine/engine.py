@@ -31,6 +31,12 @@ also safe across processes: the cache's per-key ``flock`` serializes
 concurrent recorders, and losing the race simply returns the winner's
 committed artifact as a cache hit.
 
+The cache-filtered main-memory trace is a **derived artifact**:
+:meth:`PipelineEngine.memory_trace` filters a recording once, commits
+the result under its own key (:mod:`repro.engine.memtrace`), and every
+later caller loads it instead of filtering again; the
+``traces_filtered`` / ``traces_loaded`` counters show which happened.
+
 Decoding is **lazy and chunk-granular**: an open artifact is held as a
 :class:`_RunHandle` (memory-mapped reader + parsed event stream), and a
 chunk is decoded only when a replay first touches it, landing in a
@@ -47,6 +53,7 @@ an :class:`~repro.engine.artifacts.ArtifactCache`), or set the
 
 from __future__ import annotations
 
+import logging
 import os
 import tempfile
 import time
@@ -54,13 +61,20 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+from repro.cachesim.filtered import FilteredTrace, MemoryTraceProbe
 from repro.trace.chunked import ChunkedTraceReader
 from repro.trace.record import RefBatch
 
-from repro.engine.artifacts import Artifact, ArtifactCache
+from repro.engine.artifacts import Artifact, ArtifactCache, PendingArtifact
 from repro.engine.events import EventLogProbe, ReplayStackView, replay_events
+from repro.engine.memtrace import (
+    MEMTRACE_CODEC,
+    MemTraceSpec,
+    load_memtrace,
+    memtrace_meta,
+)
 from repro.engine.spec import RunSpec
-from repro.errors import TraceError
+from repro.errors import CacheLockError, FencedOutError, TraceError
 from repro.instrument.api import FanoutProbe, Probe
 from repro.instrument.runtime import InstrumentedRuntime
 
@@ -70,6 +84,8 @@ RECORD_BUFFER_CAPACITY = 1 << 16
 
 #: Environment variable opting into a persistent cache root.
 CACHE_ENV = "NVSCAVENGER_CACHE"
+
+_log = logging.getLogger("repro.engine.cache")
 
 
 @dataclass
@@ -102,12 +118,17 @@ class EngineStats:
     chunks_verified: int = 0
     #: chunks decoded into arrays (memo misses — the expensive path)
     chunks_decoded: int = 0
+    #: memory traces filtered from a replay (then published when possible)
+    traces_filtered: int = 0
+    #: memory traces loaded from a stored derived artifact
+    traces_loaded: int = 0
     stages: dict[str, StageStats] = field(
         default_factory=lambda: {n: StageStats() for n in STAGE_NAMES}
     )
 
     _COUNTERS = ("app_runs", "cache_hits", "replays", "quarantined",
-                 "rerecorded", "chunks_verified", "chunks_decoded")
+                 "rerecorded", "chunks_verified", "chunks_decoded",
+                 "traces_filtered", "traces_loaded")
 
     def snapshot(self) -> dict:
         """Flat machine-readable view (used for per-experiment deltas)."""
@@ -143,6 +164,8 @@ class EngineStats:
             f"re-recorded: {self.rerecorded}",
             f"chunks verified: {self.chunks_verified}   "
             f"chunks decoded: {self.chunks_decoded}",
+            f"traces filtered: {self.traces_filtered}   "
+            f"traces loaded: {self.traces_loaded}",
             f"{'stage':8s} {'calls':>6s} {'wall (s)':>9s} {'refs':>12s} {'refs/sec':>12s}",
         ]
         for name, st in self.stages.items():
@@ -478,3 +501,80 @@ class PipelineEngine:
         consume.refs += refs
         self.stats.replays += 1
         return art
+
+    # -- derived artifact: the cache-filtered memory trace ---------------
+    def memory_trace(self, spec: RunSpec) -> FilteredTrace:
+        """*spec*'s main-memory trace through the Table 2 hierarchy, with
+        the hierarchy's final stats.
+
+        A committed derived trace (:mod:`repro.engine.memtrace`) is
+        loaded, scrubbing only its own marker and chunk CRCs; the source
+        recording is not touched. Otherwise one replay of *spec* is
+        filtered under the derived key's lock and committed, so every
+        later call, in any process, loads it; a caller that finds the
+        lock held waits for that commit, fenced or not. Publishing is
+        best-effort: when the lock, the fence or the filesystem refuses
+        it, the filtered trace is still returned. A corrupt stored trace
+        is quarantined and rebuilt (with ``self_heal=False`` it
+        raises)."""
+        mspec = MemTraceSpec(spec)
+        art = self.cache.get(mspec)
+        if art is not None:
+            trace = self._load_memtrace(art)
+            if trace is not None:
+                return trace
+        try:
+            pending = self.cache.begin(mspec, codec=MEMTRACE_CODEC,
+                                       stage=False)
+        except (CacheLockError, FencedOutError, OSError) as exc:
+            _log.warning("memory trace %s not published: %s",
+                         mspec.key[:12], exc)
+            pending = None
+        if isinstance(pending, Artifact):
+            # another process committed it while we waited on the lock
+            trace = self._load_memtrace(pending)
+            if trace is not None:
+                return trace
+            pending = None
+        try:
+            probe = MemoryTraceProbe()
+            self.replay(spec, probe)
+            trace = FilteredTrace(probe.memory_trace, probe.stats())
+        except BaseException:
+            if pending is not None:
+                pending.abort()
+            raise
+        self.stats.traces_filtered += 1
+        if pending is not None:
+            self._publish_memtrace(pending, mspec, trace)
+        return trace
+
+    def _load_memtrace(self, art: Artifact) -> FilteredTrace | None:
+        """Load the derived trace *art*; a corrupt one is quarantined and
+        None returned (raised with ``self_heal=False``)."""
+        try:
+            trace = load_memtrace(art)
+        except TraceError as exc:
+            if not self.self_heal:
+                raise
+            self.cache.quarantine(art.key, reason=str(exc))
+            self.stats.quarantined += 1
+            return None
+        self.stats.traces_loaded += 1
+        return trace
+
+    def _publish_memtrace(self, pending: PendingArtifact,
+                          mspec: MemTraceSpec, trace: FilteredTrace) -> None:
+        """Commit *trace* as *pending*; a refused or failed publish is
+        logged and dropped, leaving no committed-looking directory."""
+        try:
+            for batch in trace.memory_trace:
+                pending.writer.append(batch)
+            pending.commit([], memtrace_meta(mspec, trace))
+        except (FencedOutError, OSError, TraceError) as exc:
+            pending.abort()
+            _log.warning("memory trace %s not published: %s",
+                         mspec.key[:12], exc)
+        except BaseException:
+            pending.abort()
+            raise

@@ -2,12 +2,13 @@
 
 Each application is *executed* at most once per distinct run spec: the
 context asks the :class:`~repro.engine.PipelineEngine` for the recorded
-artifact (recording on first request). An :class:`AppRun` replays it
-into each analysis on first access, once per context — ``result`` into
-the NV-SCAVENGER analyzers only, ``memory_trace``/``cache_probe`` into
-the cache-filtering probe only — so an experiment that never reads the
-memory trace never filters, and one that reads only the trace never
-runs the scavenger. Fidelity knobs (reference budget, scale) default to
+artifact (recording on first request). An :class:`AppRun` computes
+each analysis on first access, once per context — ``result`` by a
+replay into the NV-SCAVENGER analyzers only, ``memory_trace``/
+``cache_probe`` from the engine's stored cache-filtered trace (filtered
+and stored by the first context, in any process, that asks) — so an
+experiment that never reads the memory trace never filters, and one
+that reads only the trace never runs the scavenger. Fidelity knobs (reference budget, scale) default to
 values that keep the full suite within tens of seconds while preserving
 every calibrated statistic.
 """
@@ -19,7 +20,7 @@ from functools import cached_property
 from typing import Sequence
 
 from repro.apps.base import ModelApp
-from repro.cachesim import MemoryTraceProbe
+from repro.cachesim import FilteredTrace
 from repro.engine import PipelineEngine, RunSpec
 from repro.scavenger import NVScavenger, ScavengerResult
 from repro.trace.record import RefBatch
@@ -33,7 +34,8 @@ class AppRun:
 
     ``app`` is an un-executed instance (for its ``info`` and class).
     ``result`` comes from a scavenger-only replay, ``cache_probe`` (and
-    its ``memory_trace``) from a filter-only replay, ``instructions``
+    its ``memory_trace``) from :meth:`PipelineEngine.memory_trace
+    <repro.engine.engine.PipelineEngine.memory_trace>`, ``instructions``
     from the artifact's metadata; each is computed on first access.
     """
 
@@ -55,10 +57,8 @@ class AppRun:
         )
 
     @cached_property
-    def cache_probe(self) -> MemoryTraceProbe:
-        probe = MemoryTraceProbe()
-        self._engine.replay(self._spec, probe)
-        return probe
+    def cache_probe(self) -> FilteredTrace:
+        return self._engine.memory_trace(self._spec)
 
     @property
     def memory_trace(self) -> list[RefBatch]:

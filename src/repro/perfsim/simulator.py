@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cachesim.config import CacheHierarchyConfig, TABLE2_CONFIG
-from repro.cachesim.filtered import MemoryTraceProbe
+from repro.cachesim.filtered import FilteredTrace, MemoryTraceProbe
 from repro.nvram.technology import MemoryTechnology
 from repro.perfsim.config import CoreConfig, TABLE3_CORE
 from repro.perfsim.core import IntervalCoreModel, WorkloadCounts, estimate_mlp
@@ -51,7 +51,7 @@ class PerformanceSimulator:
     def counts_from_run(
         self,
         instructions: int,
-        memory_probe: MemoryTraceProbe,
+        memory_probe: MemoryTraceProbe | FilteredTrace,
         dependent_fraction: float = 0.0,
     ) -> WorkloadCounts:
         """Derive :class:`WorkloadCounts` from a cache-filtered run.

@@ -258,7 +258,8 @@ class TestStageAccounting:
     snapshot/delta/merge fold the suite applies to worker engines."""
 
     COUNTERS = ("app_runs", "cache_hits", "replays", "quarantined",
-                "rerecorded", "chunks_verified", "chunks_decoded")
+                "rerecorded", "chunks_verified", "chunks_decoded",
+                "traces_filtered", "traces_loaded")
 
     def _calls_and_refs(self, stats):
         return {name: (st.calls, st.refs) for name, st in stats.stages.items()}
@@ -295,8 +296,10 @@ class TestStageAccounting:
         recorder, replayer = make_engine(tmp_path), make_engine(tmp_path)
         before = [recorder.stats.snapshot(), replayer.stats.snapshot()]
         recorder.record(spec)
+        recorder.memory_trace(spec)  # filters and publishes
         replayer.replay(spec, MemoryTraceProbe())
         replayer.replay(spec, MemoryTraceProbe())
+        replayer.memory_trace(spec)  # loads the published trace
 
         merged = EngineStats()
         for eng, snap in zip((recorder, replayer), before):
@@ -305,6 +308,8 @@ class TestStageAccounting:
             want = (getattr(recorder.stats, name)
                     + getattr(replayer.stats, name))
             assert getattr(merged, name) == want, name
+        assert (merged.traces_filtered, merged.traces_loaded) == (1, 1)
+        assert "traces filtered: 1   traces loaded: 1" in merged.table()
         got = self._calls_and_refs(merged)
         rec = self._calls_and_refs(recorder.stats)
         rep = self._calls_and_refs(replayer.stats)

@@ -267,6 +267,55 @@ class TestGc:
         assert report.skipped_in_use == [spec.key]
         assert cache.gc(max_bytes=0).removed_partial == 1
 
+    def test_key_lock_taken_after_the_scan_keeps_a_partial(
+            self, tmp_path, monkeypatch):
+        """gc removes a partial directory only while it holds the key's
+        lock, so a builder that takes the lock between the scan and the
+        removal keeps its in-progress files."""
+        cache = ArtifactCache(tmp_path)
+        spec = make_spec(seed=99)
+        pending = cache.begin(spec)
+        pending.writer.close()
+        pending._finish()  # a crashed recording: no commit marker
+        builder = cache.lock_for(spec.key)
+        scan = cache._artifact_dirs
+
+        def scan_then_lock():
+            yield from scan()
+            assert builder.try_acquire()
+
+        monkeypatch.setattr(cache, "_artifact_dirs", scan_then_lock)
+        try:
+            report = cache.gc(max_bytes=0)
+        finally:
+            builder.release()
+        assert report.removed_partial == 0
+        assert report.skipped_in_use == [spec.key]
+        assert os.path.isdir(os.path.join(cache.dir_for(spec.key), "refs.tv4"))
+        monkeypatch.undo()
+        assert cache.gc(max_bytes=0).removed_partial == 1
+
+    def test_partial_committed_after_the_scan_is_kept(
+            self, tmp_path, monkeypatch):
+        """A builder that commits a scanned partial before gc reaches it
+        keeps its artifact."""
+        cache = ArtifactCache(tmp_path)
+        spec = make_spec(seed=98)
+        pending = cache.begin(spec)
+        pending.writer.close()
+        pending._finish()
+        scan = cache._artifact_dirs
+
+        def scan_then_commit():
+            yield from scan()
+            PipelineEngine(cache=cache).record(spec)
+
+        monkeypatch.setattr(cache, "_artifact_dirs", scan_then_commit)
+        report = cache.gc(max_bytes=1 << 30)
+        assert report.removed_partial == 0
+        assert cache.get(spec) is not None
+        cache.verify(spec)
+
     def test_partials_are_removed_first(self, tmp_path):
         cache, specs = populate(tmp_path, n=1)
         pending = cache.begin(make_spec(seed=99))

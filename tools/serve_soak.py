@@ -26,6 +26,8 @@ Drives a real daemon the way a hostile day in production would:
    cache root, and the exit code is 143.
 
 Exit 0 on success, 1 with a diagnostic on any violated expectation.
+The soak's temporary root (cache, ready file) is removed on success and
+kept, with its path printed, on failure.
 Used by ``make serve-soak``; ``make serve-smoke`` is the quick CI cut.
 """
 
@@ -35,6 +37,7 @@ import http.client
 import json
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -191,8 +194,9 @@ def gc_loop(cache_dir: str, stop: threading.Event, in_use: list,
         stop.wait(0.2)
 
 
-def main() -> int:
-    tmp = tempfile.mkdtemp(prefix="serve-soak-")
+def soak(tmp: str) -> None:
+    """Both phases against a daemon whose cache lives under *tmp*; any
+    violated expectation exits through :func:`fail`."""
     cache_dir = os.path.join(tmp, "cache")
     proc = start_daemon(cache_dir, os.path.join(tmp, "ready"))
     host, port = open(os.path.join(tmp, "ready")).read().split()
@@ -309,9 +313,19 @@ def main() -> int:
     if record.get("signum") != 15 or "hint" not in record:
         fail(f"malformed drain journal: {record}")
 
-    print(f"soak: phase 2 clean — drained on SIGTERM with readyz 503, "
-          f"exit 143, journal at {journal}")
+    print("soak: phase 2 clean — drained on SIGTERM with readyz 503, "
+          "exit 143, drain journal written")
     print("serve soak OK")
+
+
+def main() -> int:
+    tmp = tempfile.mkdtemp(prefix="serve-soak-")
+    try:
+        soak(tmp)
+    except BaseException:
+        print(f"serve soak: kept {tmp} for forensics", file=sys.stderr)
+        raise
+    shutil.rmtree(tmp, ignore_errors=True)
     return 0
 
 
