@@ -193,24 +193,26 @@ def cmd_engine(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "ls":
-        import json
         import os
 
-        from repro.engine.artifacts import QUARANTINE_SUFFIX, REFS_TV4, Artifact
+        from repro.engine.artifacts import COMMITTED, QUARANTINED
         from repro.engine.memtrace import MEMTRACE_KIND
+        from repro.errors import TraceError
 
         cache = ArtifactCache(args.cache_dir)
         found = 0
         total = 0
         quarantined = 0
-        for dirpath, _dirnames, filenames in sorted(os.walk(cache.root)):
-            if "meta.json" not in filenames:
-                continue
-            if QUARANTINE_SUFFIX in os.path.basename(dirpath):
+        for entry in cache.scan():
+            if entry.kind == QUARANTINED:
                 quarantined += 1  # out of service, kept for forensics
+            if entry.kind != COMMITTED:
                 continue
-            with open(os.path.join(dirpath, "meta.json")) as fh:
-                meta = json.load(fh)
+            art = entry.artifact()
+            try:
+                meta = art.meta
+            except TraceError:
+                meta = {}  # torn marker: engine fsck names the damage
             spec = meta.get("spec", {})
             label = spec.get("app", "?")
             if meta.get("kind") == MEMTRACE_KIND:
@@ -218,12 +220,10 @@ def cmd_engine(args: argparse.Namespace) -> int:
                 spec = meta.get("source", {})
                 label = (f"memtrace({spec.get('app', '?')}@"
                          f"{str(meta.get('source_key', '?'))[:8]})")
-            art = Artifact(os.path.basename(dirpath), dirpath)
             size = art.size_bytes()
             total += size
-            fmt = ("tv4" if os.path.isdir(os.path.join(dirpath, REFS_TV4))
-                   else "legacy")
-            print(f"{os.path.basename(dirpath)[:12]}  "
+            fmt = "tv4" if os.path.isdir(art.refs_path) else "legacy"
+            print(f"{art.key[:12]}  "
                   f"{label:18s} "
                   f"refs={meta.get('refs', 0):>8d}  "
                   f"batches={meta.get('n_batches', 0):>4d}  "

@@ -218,6 +218,7 @@ def _journal_workload(root: str, fs: RecordingFS, mark: MarkLog) -> None:
 
 
 def _journal_recover(root: str, acked: list[Mark]) -> None:
+    from repro.engine.artifacts import RUN_DONE_MARKER
     from repro.sched import journal as jn
 
     # the real restart path: open (truncates any torn tail), then replay
@@ -248,7 +249,7 @@ def _journal_recover(root: str, acked: list[Mark]) -> None:
             _fail(f"acked finished tasks lost on replay: "
                   f"{sorted(missing)[:3]}", "journal")
     if any(m.label == "finished" for m in acked):
-        marker = os.path.join(os.path.dirname(path), jn.DONE_MARKER)
+        marker = os.path.join(os.path.dirname(path), RUN_DONE_MARKER)
         if not os.path.exists(marker):
             _fail("acked run_finished lost its DONE marker", "journal")
 

@@ -28,8 +28,11 @@ Robustness around that layout:
 * a corrupt committed artifact is **quarantined** — renamed to a sibling
   ``<key>.quarantine[.n]/`` directory with a structured log event — so
   the key reads as a miss and the engine re-records it;
-* :meth:`ArtifactCache.fsck` scrubs every artifact (commit markers, batch
-  CRCs, meta/event JSON, key consistency) and can repair by quarantining
+* every reader checks an artifact with :meth:`Artifact.scrub` first;
+* :meth:`ArtifactCache.scan` classifies each directory of the fan-out
+  once for fsck, gc and ``engine ls``. :meth:`ArtifactCache.fsck`
+  scrubs every artifact (commit markers, batch CRCs, meta/event JSON,
+  key consistency) and can repair by quarantining
   corruption and deleting partial leftovers;
 * :meth:`ArtifactCache.gc` enforces a byte budget by LRU-evicting
   committed artifacts, ordered by an explicit zero-byte ``last_access``
@@ -37,7 +40,8 @@ Robustness around that layout:
   fallback for pre-stamp caches; atime is never consulted because
   ``noatime``/``relatime`` mounts freeze it), never evicting a key whose
   lock is currently held or that a reader has pinned
-  (:meth:`ArtifactCache.pin`);
+  (:meth:`ArtifactCache.pin`). gc and fsck remove a key's directory,
+  and then its ``.lock``/``.pin`` files, only while holding both;
 * the root also hosts ``<root>/runs/<run-id>/`` — one write-ahead
   journal per scheduled suite run (:mod:`repro.sched.journal`). gc
   counts them against the budget and evicts *finished* runs (their
@@ -48,6 +52,7 @@ Robustness around that layout:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -82,8 +87,6 @@ _log = logging.getLogger("repro.engine.cache")
 
 #: The chunked v4 trace container inside an artifact directory.
 REFS_TV4 = "refs.tv4"
-#: The three entries of a committed artifact, in write order.
-ARTIFACT_FILES = (REFS_TV4, "events.json", "meta.json")
 #: Temporary sibling *files* a crashed recording may leave behind.
 TMP_FILES = ("events.json.tmp", "meta.json.tmp")
 #: Temporary sibling *directories* a crashed recording may leave.
@@ -120,6 +123,8 @@ QUEUE_DIR = "queue"
 #: ``QUEUE_DIR`` — gc reads heartbeat mtimes from here to decide
 #: whether a finished run still has live workers attached.
 QUEUE_LEASES_DIR = "leases"
+#: The queue manifest (in ``QUEUE_DIR``), whose ``lease_ttl_s`` gc reads.
+QUEUE_MANIFEST_FILE = "manifest.json"
 #: A finished run whose newest lease heartbeat is younger than this is
 #: treated as still having workers attached (possibly zombies whose
 #: fence files must survive), so gc keeps the whole run directory.
@@ -155,6 +160,30 @@ def _stage_orphan_reason(name: str, age_s: float) -> str | None:
         return (f"orphaned fenced stage (local recorder pid {m.group(2)} "
                 f"is gone)")
     return None
+
+
+def _tree_bytes(path: str) -> int:
+    """Total size of the files under *path*. A file that vanishes
+    between the listing and its ``stat`` (a ``publish_file`` temporary
+    renamed into place, a directory gc removed) counts as zero."""
+    total = 0
+    for dirpath, _dirnames, filenames in os.walk(path):
+        for name in filenames:
+            try:
+                total += os.path.getsize(os.path.join(dirpath, name))
+            except OSError:
+                pass
+    return total
+
+
+def _mtime(*paths: str) -> float:
+    """The mtime of the first of *paths* that exists (0.0 if none)."""
+    for path in paths:
+        try:
+            return os.stat(path).st_mtime
+        except OSError:
+            continue
+    return 0.0
 
 
 def _meta_self_crc(meta: dict) -> int:
@@ -221,11 +250,6 @@ class Artifact:
     def events(self) -> List[list]:
         return self._load_json(self.events_path, "events.json")
 
-    def batches(self) -> Iterator[RefBatch]:
-        """Stream the recorded reference batches (checksums verified)."""
-        with ChunkedTraceReader(self.refs_path) as reader:
-            yield from reader
-
     def size_bytes(self) -> int:
         """Total on-disk size of the artifact directory.
 
@@ -234,14 +258,25 @@ class Artifact:
         leftovers) are counted — ``engine gc`` and ``engine ls`` byte
         totals stay correct.
         """
-        total = 0
-        for dirpath, _dirnames, filenames in os.walk(self.directory):
-            for name in filenames:
-                try:
-                    total += os.path.getsize(os.path.join(dirpath, name))
-                except OSError:
-                    pass
-        return total
+        return _tree_bytes(self.directory)
+
+    @contextlib.contextmanager
+    def named_errors(self) -> Iterator[None]:
+        """Tag a :class:`~repro.errors.TraceError` raised in the block
+        that names no artifact with this one's key."""
+        try:
+            yield
+        except TraceError as exc:
+            if exc.key is None:
+                exc.key = self.key
+            raise
+
+    def open_trace(self) -> ChunkedTraceReader:
+        """Open the v4 trace container: its chunk index is read and
+        checked and the data file mapped; no payload is checked until
+        :meth:`scrub`."""
+        with self.named_errors():
+            return ChunkedTraceReader(self.refs_path)
 
     def verify(self) -> int:
         """Scrub the whole artifact; returns the batch count.
@@ -286,14 +321,7 @@ class Artifact:
             )
         declared_crc = meta.get("events_crc32")
         if declared_crc is not None:
-            try:
-                with open(self.events_path, "rb") as fh:
-                    actual_crc = zlib.crc32(fh.read())
-            except OSError as exc:
-                raise TraceError(
-                    f"artifact {self.key[:12]}: cannot read events.json: "
-                    f"{exc}", key=self.key, path=self.events_path,
-                ) from exc
+            actual_crc = zlib.crc32(self._events_bytes())
             if actual_crc != int(declared_crc):
                 raise TraceError(
                     f"artifact {self.key[:12]}: events.json failed checksum "
@@ -303,87 +331,66 @@ class Artifact:
                 )
         return meta
 
-    def _check_n_batches(self, n: int, path: str) -> None:
-        declared = self.meta.get("n_batches")
-        if declared is not None and int(declared) != n:
+    def _events_bytes(self) -> bytes:
+        try:
+            with open(self.events_path, "rb") as fh:
+                return fh.read()
+        except OSError as exc:
             raise TraceError(
-                f"artifact {self.key[:12]}: {os.path.basename(path)} holds "
-                f"{n} batches but meta.json declares {declared} "
-                f"(truncated trace)",
-                key=self.key, path=path,
+                f"artifact {self.key[:12]}: cannot read events.json: "
+                f"{exc}", key=self.key, path=self.events_path,
+            ) from exc
+
+    def scrub(self, reader: ChunkedTraceReader) -> dict:
+        """The one integrity check every reader runs on *reader*, this
+        artifact's open trace, before reading it: :meth:`verify_marker`,
+        every chunk's stored CRC32 (a checksum pass over the mapped data
+        file, no decompression) and the batch count the marker declares.
+        Returns the checked meta; a :class:`~repro.errors.TraceError`
+        names the key."""
+        with self.named_errors():
+            meta = self.verify_marker()
+            reader.verify_stored()
+        declared = meta.get("n_batches")
+        if declared is not None and int(declared) != reader.n_batches:
+            raise TraceError(
+                f"artifact {self.key[:12]}: {REFS_TV4} holds "
+                f"{reader.n_batches} batches but meta.json declares "
+                f"{declared} (truncated trace)",
+                key=self.key, path=self.refs_path,
             )
+        return meta
 
     def verify_load(self) -> tuple[list, List[RefBatch]]:
         """Scrub the whole artifact and return its decoded payload.
 
-        Performs exactly the checks :meth:`verify` does, but hands back
-        ``(events, batches)`` so a caller about to replay does not decode
-        the event JSON and the trace batches a second time — the scrub
-        *is* the decode.
-        """
-        self.verify_marker()
-        events = self.events()
-        try:
-            # iterating the reader checksums every chunk
-            with ChunkedTraceReader(self.refs_path) as reader:
-                batches = list(reader)
-        except TraceError as exc:
-            if exc.key is None:
-                exc.key = self.key
-            raise
-        self._check_n_batches(len(batches), self.refs_path)
-        return events, batches
+        :meth:`scrub`, then the event JSON and every chunk decoded (a
+        compressed chunk's inflated payload is CRC-checked too); hands
+        back ``(events, batches)`` so a caller about to replay does not
+        decode them a second time."""
+        with self.open_trace() as reader, self.named_errors():
+            self.scrub(reader)
+            return self.events(), list(reader)
 
-    def verify_integrity(self) -> int:
-        """Structural scrub without decoding the trace; returns the
-        batch count.
-
-        Checks everything :meth:`verify` does *except* that chunk
-        payloads are verified by their stored CRC32s only — a CRC pass
-        over the mapped data file with no decompression and no array
-        construction, which is what makes the service's warm path cheap.
-        """
-        self.verify_marker()
-        try:
-            with ChunkedTraceReader(self.refs_path) as reader:
-                reader.verify_stored()
-                n = reader.n_batches
-        except TraceError as exc:
-            if exc.key is None:
-                exc.key = self.key
-            raise
-        self._check_n_batches(n, self.refs_path)
-        return n
-
-    def content_digest(self) -> str:
+    def content_digest(self, reader: ChunkedTraceReader | None = None) -> str:
         """The run's content digest, computed from stored CRCs.
 
         sha256 over the event log's CRC32 plus every batch's
         format-independent payload CRC32 — read from the chunk index
-        without decoding any payload, and equal to
+        (of *reader* when given, else of a freshly opened one) without
+        decoding any payload, and equal to
         :func:`repro.service.protocol.digest_payload` of the decoded
         content. Stable across re-records of the same spec *and* across
         a migration to v4.
         """
-        meta = self.meta
-        events_crc = meta.get("events_crc32")
+        if reader is None:
+            with self.open_trace() as own:
+                return self.content_digest(own)
+        events_crc = self.meta.get("events_crc32")
         if events_crc is None:  # pre-checksum marker: hash the bytes
-            try:
-                with open(self.events_path, "rb") as fh:
-                    events_crc = zlib.crc32(fh.read())
-            except OSError as exc:
-                raise TraceError(
-                    f"artifact {self.key[:12]}: cannot read events.json: "
-                    f"{exc}", key=self.key, path=self.events_path,
-                ) from exc
-        try:
-            with ChunkedTraceReader(self.refs_path) as reader:
-                crcs = reader.payload_crcs()
-        except TraceError as exc:
-            if exc.key is None:
-                exc.key = self.key
-            raise
-        return content_digest_from_crcs(int(events_crc), crcs)
+            events_crc = zlib.crc32(self._events_bytes())
+        return content_digest_from_crcs(int(events_crc),
+                                        reader.payload_crcs())
 
     def verify_chunks(self) -> list["ChunkVerdict"]:
         """Per-chunk scrub verdicts — fsck's forensic view.
@@ -481,15 +488,24 @@ class PendingArtifact:
             except FencedOutError:
                 self._finish()
                 raise
-            for name in (ARTIFACT_FILES + TMP_FILES + TMP_DIRS
-                         + (LAST_ACCESS_FILE,)):
-                path = os.path.join(directory, name)
+            self._clear()
+        self.writer = ChunkedTraceWriter(os.path.join(directory, REFS_TV4),
+                                         fs=self._fs, codec=codec)
+
+    def _clear(self, ignore_errors: bool = False) -> None:
+        """Remove everything a recording leaves in its directory, the
+        commit marker first, so no committed-looking artifact remains."""
+        for name in (("meta.json", "events.json", REFS_TV4) + TMP_FILES
+                     + TMP_DIRS + (LAST_ACCESS_FILE,)):
+            path = os.path.join(self.directory, name)
+            try:
                 if os.path.isdir(path):
                     self._fs.rmtree(path)
                 elif self._fs.exists(path):
                     self._fs.unlink(path)
-        self.writer = ChunkedTraceWriter(os.path.join(directory, REFS_TV4),
-                                         fs=self._fs, codec=codec)
+            except OSError:
+                if not ignore_errors:
+                    raise
 
     def _finish(self) -> None:
         self._done = True
@@ -616,17 +632,33 @@ class PendingArtifact:
             # leave the directory to its current owner.
             self._finish()
             return
-        for name in (("meta.json", "events.json", REFS_TV4)
-                     + TMP_FILES + TMP_DIRS + (LAST_ACCESS_FILE,)):
-            path = os.path.join(self.directory, name)
-            try:
-                if os.path.isdir(path):
-                    self._fs.rmtree(path)
-                elif self._fs.exists(path):
-                    self._fs.unlink(path)
-            except OSError:
-                pass
+        self._clear(ignore_errors=True)
         self._finish()
+
+
+#: The kinds of directory :meth:`ArtifactCache.scan` finds.
+COMMITTED, PARTIAL, QUARANTINED, STAGED = (
+    "committed", "partial", "quarantined", "staged")
+
+
+@dataclass
+class CacheEntry:
+    """One directory under the fan-out: a fenced *staged* recording, a
+    *quarantined* copy, or an artifact directory, *committed* when its
+    marker is present and *partial* when not. ``stamp`` is a committed
+    entry's last use (``last_access``, else meta.json's mtime) and any
+    other entry's directory mtime."""
+
+    name: str
+    path: str
+    kind: str
+    stamp: float
+
+    def artifact(self) -> Artifact:
+        return Artifact(self.name, self.path)
+
+    def size_bytes(self) -> int:
+        return _tree_bytes(self.path)
 
 
 @dataclass
@@ -862,14 +894,6 @@ class ArtifactCache:
                 lock.release()
             raise
 
-    def verify(self, spec: RunSpec) -> int:
-        """Scrub *spec*'s artifact end to end; returns the batch count."""
-        art = self.get(spec)
-        if art is None:
-            raise TraceError(f"no committed artifact for {spec}",
-                             key=spec.key)
-        return art.verify()
-
     # -- quarantine -----------------------------------------------------
     def quarantine(self, key: str, reason: str = "") -> str | None:
         """Move *key*'s directory aside as ``<key>.quarantine[.n]`` so the
@@ -896,57 +920,39 @@ class ArtifactCache:
         return dest
 
     # -- directory walking ----------------------------------------------
-    def _artifact_dirs(self) -> Iterator[tuple[str, str, bool]]:
-        """Yields ``(key_or_name, path, is_quarantine)`` for every entry
-        under the two-level fan-out."""
+    def scan(self) -> Iterator[CacheEntry]:
+        """Every directory under the two-level fan-out, in name order,
+        classified once (see :class:`CacheEntry`). Files, ``.locks``,
+        ``runs`` and other names that are not a two-character shard are
+        skipped, and so is an entry that vanishes while it is listed."""
         try:
             shards = sorted(os.listdir(self.root))
         except OSError:
             return
         for shard in shards:
-            if shard == ".locks" or len(shard) != 2:
+            if len(shard) != 2:
                 continue
             shard_path = os.path.join(self.root, shard)
-            if not os.path.isdir(shard_path):
+            try:
+                names = sorted(os.listdir(shard_path))
+            except OSError:  # a stray file, or gone
                 continue
-            for name in sorted(os.listdir(shard_path)):
+            for name in names:
                 path = os.path.join(shard_path, name)
                 if not os.path.isdir(path):
                     continue
                 if STAGE_MARKER in name:
-                    # fenced staged recordings are walked separately
-                    # (_stage_dirs); they are never artifacts
-                    continue
-                yield name, path, QUARANTINE_SUFFIX in name
-
-    def _stage_dirs(self) -> Iterator[tuple[str, str, float]]:
-        """Yields ``(name, path, age_s)`` for every fenced staged
-        recording (``<key>.stage.<epoch>-<pid>/``) under the fan-out.
-        Age is seconds since the directory's mtime — a live fenced
-        recorder touches its stage constantly, so anything older than
-        :data:`STAGE_TTL_S` is a dead worker's leftover."""
-        now = time.time()
-        try:
-            shards = sorted(os.listdir(self.root))
-        except OSError:
-            return
-        for shard in shards:
-            if shard == ".locks" or len(shard) != 2:
-                continue
-            shard_path = os.path.join(self.root, shard)
-            if not os.path.isdir(shard_path):
-                continue
-            for name in sorted(os.listdir(shard_path)):
-                if STAGE_MARKER not in name:
-                    continue
-                path = os.path.join(shard_path, name)
-                if not os.path.isdir(path):
-                    continue
-                try:
-                    age = now - os.stat(path).st_mtime
-                except OSError:
-                    age = STAGE_TTL_S + 1.0
-                yield name, path, age
+                    kind, stamp = STAGED, _mtime(path)
+                elif QUARANTINE_SUFFIX in name:
+                    kind, stamp = QUARANTINED, _mtime(path)
+                else:
+                    art = Artifact(name, path)
+                    if os.path.exists(art.meta_path):
+                        kind = COMMITTED
+                        stamp = _mtime(art.last_access_path, art.meta_path)
+                    else:
+                        kind, stamp = PARTIAL, _mtime(path)
+                yield CacheEntry(name, path, kind, stamp)
 
     @property
     def runs_root(self) -> str:
@@ -988,7 +994,7 @@ class ArtifactCache:
         except OSError:
             return False
         grace = QUEUE_LEASE_GRACE_S
-        manifest = read_json_or_none(os.path.join(qdir, "manifest.json"))
+        manifest = read_json_or_none(os.path.join(qdir, QUEUE_MANIFEST_FILE))
         try:
             ttl = float((manifest or {}).get("lease_ttl_s", 0.0))
             if ttl > 0.0:
@@ -1011,19 +1017,25 @@ class ArtifactCache:
 
         Repair means: corrupt artifacts are quarantined (taken out of
         service, kept for forensics), partial recordings and stray
-        ``*.tmp`` files are deleted. An artifact whose repair itself
-        fails stays ``corrupt`` with no action — :func:`fsck` callers
-        treat that as unrepairable.
+        ``*.tmp`` files are deleted. A partial directory is removed only
+        while fsck holds its key lock and pin, as gc does: one whose
+        recorder holds the lock is reported with no action. An artifact
+        whose repair itself fails stays ``corrupt`` with no action —
+        :func:`fsck` callers treat that as unrepairable.
         """
         report = FsckReport(root=self.root)
-        for name, path, is_quarantine in self._artifact_dirs():
-            if is_quarantine:
+        now = time.time()
+        for ent in self.scan():
+            name, path = ent.name, ent.path
+            if ent.kind == QUARANTINED:
                 report.quarantined_dirs += 1
                 continue
-            art = Artifact(name, path)
-            if not os.path.exists(art.meta_path):
-                entry = FsckEntry(name, path, "partial",
-                                  "no meta.json commit marker")
+            if ent.kind == STAGED:
+                reason = _stage_orphan_reason(name, now - ent.stamp)
+                if reason is None:
+                    # a live fenced recorder owns this; leave it alone
+                    continue
+                entry = FsckEntry(name, path, "partial", reason)
                 if repair:
                     try:
                         shutil.rmtree(path)
@@ -1032,6 +1044,19 @@ class ArtifactCache:
                         entry.detail += f"; removal failed: {exc}"
                 report.entries.append(entry)
                 continue
+            if ent.kind == PARTIAL:
+                entry = FsckEntry(name, path, "partial",
+                                  "no meta.json commit marker")
+                if repair:
+                    removed = self._remove_unused(name, path, partial=True)
+                    if removed:
+                        entry.action = "removed"
+                    else:
+                        entry.detail += ("; removal failed" if removed is None
+                                         else "; in use, kept")
+                report.entries.append(entry)
+                continue
+            art = ent.artifact()
             try:
                 n = art.verify()
             except TraceError as exc:
@@ -1073,42 +1098,36 @@ class ArtifactCache:
                             pass
                     entry.action = "removed stray tmp files"
             report.entries.append(entry)
-        for name, path, age in self._stage_dirs():
-            reason = _stage_orphan_reason(name, age)
-            if reason is None:
-                # a live fenced recorder owns this; leave it alone
-                continue
-            entry = FsckEntry(name, path, "partial", reason)
-            if repair:
-                try:
-                    shutil.rmtree(path)
-                    entry.action = "removed"
-                except OSError as exc:
-                    entry.detail += f"; removal failed: {exc}"
-            report.entries.append(entry)
         return report
 
     # -- gc -------------------------------------------------------------
     def _remove_unused(self, key: str, path: str,
                        partial: bool = False) -> bool | None:
         """``rmtree`` *key*'s directory *path* while holding its key lock
-        and its pin exclusively: True once removed; False, touching
-        nothing, when a builder holds the lock, a reader pins the key,
-        or a *partial* directory was committed since the scan; None
-        when the removal failed."""
+        and its pin exclusively, then unlink both lock files before
+        letting go: True once removed; False, touching nothing, when a
+        builder holds the lock, a reader pins the key, or a *partial*
+        directory was committed since the scan; None when the removal
+        failed."""
         lock = self.lock_for(key)
         if not lock.try_acquire():
             return False
         try:
             if partial and os.path.exists(os.path.join(path, "meta.json")):
                 return False
-            with unpinned(self._pin_path(key)) as free:
+            pin_path = self._pin_path(key)
+            with unpinned(pin_path) as free:
                 if not free:
                     return False
                 try:
                     shutil.rmtree(path)
                 except OSError:
                     return None
+                for lock_file in (pin_path, lock.path):
+                    try:
+                        os.unlink(lock_file)
+                    except OSError:
+                        pass
         finally:
             lock.release()
         return True
@@ -1130,101 +1149,65 @@ class ArtifactCache:
         recorder is using it) or that a reader has pinned (:meth:`pin`)
         is never evicted — the report flags when that leaves the cache
         over budget. Partial directories are removed, and artifacts
-        evicted, only after the scan, each while gc holds the key's lock
-        and its pin by exclusive try-locks across the ``rmtree``, so a
-        builder or reader that takes either at any time before the
-        removal starts keeps the key.
+        evicted, only after the scan, each through
+        :meth:`_remove_unused`, so a builder or reader that takes the
+        key's lock or pin at any time before the removal starts keeps
+        the key.
         """
-        candidates: list[tuple[float, str, str, int]] = []
-        q_candidates: list[tuple[float, str, str, int]] = []
-        run_candidates: list[tuple[float, str, str, int]] = []
+        now = time.time()
         before = 0
         removed_partial = 0
         skipped: list[str] = []
         kept_runs: list[str] = []
         kept_queues: list[str] = []
+        # eviction pools in eviction order, each (stamp, name, path, size)
+        pools: dict[str, list[tuple[float, str, str, int]]] = {
+            RUNS_DIR: [], QUARANTINED: [], COMMITTED: []}
         for run_id, path, finished in self._run_dirs():
-            size = sum(
-                os.path.getsize(os.path.join(dp, f))
-                for dp, _dn, fns in os.walk(path) for f in fns
-            )
+            size = _tree_bytes(path)
             before += size
             if not finished:
                 kept_runs.append(run_id)
-                continue
-            if self._queue_live(path):
+            elif self._queue_live(path):
                 # finished run, but workers (or zombies) still heartbeat
                 # its queue — the fence files in there are load-bearing
                 kept_queues.append(run_id)
+            else:
+                pools[RUNS_DIR].append((_mtime(path), run_id, path, size))
+        partials: list[tuple[CacheEntry, int]] = []
+        for ent in self.scan():
+            size = ent.size_bytes()
+            if ent.kind == PARTIAL:
+                partials.append((ent, size))
                 continue
-            try:
-                mtime = os.stat(path).st_mtime
-            except OSError:
-                mtime = 0.0
-            run_candidates.append((mtime, run_id, path, size))
-        for name, path, age in self._stage_dirs():
-            size = sum(
-                os.path.getsize(os.path.join(dp, f))
-                for dp, _dn, fns in os.walk(path) for f in fns
-            )
-            if _stage_orphan_reason(name, age) is None:
-                # a live fenced recorder owns this stage; count, keep
-                before += size
-                continue
-            try:
-                shutil.rmtree(path)
-                removed_partial += 1
-            except OSError:
-                before += size
-        partials: list[tuple[str, str, int]] = []
-        for name, path, is_quarantine in self._artifact_dirs():
-            size = sum(
-                os.path.getsize(os.path.join(dp, f))
-                for dp, _dn, fns in os.walk(path) for f in fns
-            )
-            if is_quarantine:
-                before += size
+            if ent.kind == STAGED and _stage_orphan_reason(
+                    ent.name, now - ent.stamp) is not None:
                 try:
-                    mtime = os.stat(path).st_mtime
+                    shutil.rmtree(ent.path)
+                    removed_partial += 1
+                    continue
                 except OSError:
-                    mtime = 0.0
-                q_candidates.append((mtime, name, path, size))
-                continue
-            meta_path = os.path.join(path, "meta.json")
-            if not os.path.exists(meta_path):
-                partials.append((name, path, size))
-                continue
+                    pass
             before += size
-            try:
-                stamp = os.stat(os.path.join(path, LAST_ACCESS_FILE)).st_mtime
-            except OSError:
-                try:
-                    stamp = os.stat(meta_path).st_mtime
-                except OSError:
-                    stamp = 0.0
-            candidates.append((stamp, name, path, size))
-        for name, path, size in partials:
-            removed = self._remove_unused(name, path, partial=True)
+            if ent.kind in pools:
+                pools[ent.kind].append((ent.stamp, ent.name, ent.path, size))
+        for ent, size in partials:
+            removed = self._remove_unused(ent.name, ent.path, partial=True)
             if removed:
                 removed_partial += 1
                 continue
             before += size
             if removed is False:
-                skipped.append(name)
+                skipped.append(ent.name)
 
         total = before
-        evicted: list[str] = []
-        evicted_q: list[str] = []
-        evicted_runs: list[str] = []
-        run_candidates.sort()  # finished run journals first, oldest first
-        q_candidates.sort()  # then quarantine forensics, oldest first
-        candidates.sort()  # then committed artifacts, oldest last-use first
-        for sink, pool in ((evicted_runs, run_candidates),
-                           (evicted_q, q_candidates), (evicted, candidates)):
+        evicted: dict[str, list[str]] = {kind: [] for kind in pools}
+        for kind, pool in pools.items():
+            pool.sort()  # oldest first
             for _ts, name, path, size in pool:
                 if total <= max_bytes:
                     break
-                if sink is evicted:
+                if kind == COMMITTED:
                     removed = self._remove_unused(name, path)
                     if removed is False:
                         skipped.append(name)
@@ -1236,15 +1219,15 @@ class ArtifactCache:
                     except OSError:
                         continue
                 total -= size
-                sink.append(name)
+                evicted[kind].append(name)
         return GcReport(
             root=self.root,
             budget_bytes=max_bytes,
             before_bytes=before,
             after_bytes=total,
-            evicted=evicted,
-            evicted_quarantine=evicted_q,
-            evicted_runs=evicted_runs,
+            evicted=evicted[COMMITTED],
+            evicted_quarantine=evicted[QUARANTINED],
+            evicted_runs=evicted[RUNS_DIR],
             skipped_in_use=sorted(set(skipped)),
             kept_runs=kept_runs,
             kept_queues=kept_queues,

@@ -40,21 +40,24 @@ later caller loads it instead of filtering again; the
 Decoding is **lazy and chunk-granular**: an open artifact is held as a
 :class:`_RunHandle` (memory-mapped reader + parsed event stream), and a
 chunk is decoded only when a replay first touches it, landing in a
-per-``(key, chunk)`` LRU memo bounded by ``decode_cache_bytes``. Each
-chunk is therefore decoded once across arbitrarily many replays, as
+per-``(key, chunk)`` LRU memo bounded by :data:`DECODE_CACHE_BYTES`.
+Each chunk is therefore decoded once across arbitrarily many replays, as
 long as the memo holds it.
 
 By default each engine gets a **fresh temporary cache root** (per
 process), so repeated invocations never read stale artifacts from earlier
-code versions. Persistence across processes is opt-in: pass ``root=`` (or
-an :class:`~repro.engine.artifacts.ArtifactCache`), or set the
+code versions; the process that made it removes it when it exits.
+Persistence across processes is opt-in: pass ``root=`` (or an
+:class:`~repro.engine.artifacts.ArtifactCache`), or set the
 ``NVSCAVENGER_CACHE`` environment variable.
 """
 
 from __future__ import annotations
 
+import atexit
 import logging
 import os
+import shutil
 import tempfile
 import time
 from collections import OrderedDict
@@ -81,6 +84,15 @@ from repro.instrument.runtime import InstrumentedRuntime
 #: Matches NVScavenger's live default, so recorded batch boundaries (and
 #: therefore every extent-dependent statistic) are identical to a live run.
 RECORD_BUFFER_CAPACITY = 1 << 16
+
+#: In-memory budget for the decoded chunks one engine keeps (0 disables
+#: the memo).
+DECODE_CACHE_BYTES = 256 << 20
+
+#: Self-healing replay re-records a corrupt artifact at most this often,
+#: sleeping ``RERECORD_BACKOFF_S * 2**(n-1)`` before the n-th retry.
+MAX_RERECORD_ATTEMPTS = 3
+RERECORD_BACKOFF_S = 0.05
 
 #: Environment variable opting into a persistent cache root.
 CACHE_ENV = "NVSCAVENGER_CACHE"
@@ -177,14 +189,21 @@ class EngineStats:
 
 
 def _default_root() -> str:
+    """``$NVSCAVENGER_CACHE``, else a fresh temporary root that this
+    process (not a forked child sharing it) removes at exit — not when
+    the engine is collected, as a derived trace it returned is a view of
+    that root's files."""
     env = os.environ.get(CACHE_ENV)
     if env:
         return env
-    return tempfile.mkdtemp(prefix="nvscavenger-cache-")
+    root = tempfile.mkdtemp(prefix="nvscavenger-cache-")
+    atexit.register(_remove_root, root, os.getpid())
+    return root
 
 
-#: Default in-memory budget for decoded chunks kept by one engine instance.
-DECODE_CACHE_BYTES = 256 << 20
+def _remove_root(root: str, owner: int) -> None:
+    if os.getpid() == owner:
+        shutil.rmtree(root, ignore_errors=True)
 
 
 @dataclass
@@ -222,29 +241,19 @@ class PipelineEngine:
         self,
         cache: ArtifactCache | None = None,
         root: str | os.PathLike | None = None,
-        buffer_capacity: int = RECORD_BUFFER_CAPACITY,
         self_heal: bool = True,
-        max_rerecord_attempts: int = 3,
-        rerecord_backoff_s: float = 0.05,
-        decode_cache_bytes: int = DECODE_CACHE_BYTES,
     ) -> None:
         if cache is None:
             cache = ArtifactCache(root if root is not None else _default_root())
         self.cache = cache
         self.stats = EngineStats()
-        self._buffer_capacity = buffer_capacity
         self.self_heal = self_heal
-        self.max_rerecord_attempts = max_rerecord_attempts
-        self.rerecord_backoff_s = rerecord_backoff_s
-        #: keys whose committed artifact this engine already scrubbed
-        self._verified: set[str] = set()
         #: open artifacts, keyed by artifact key
         self._handles: dict[str, _RunHandle] = {}
         # decoded-chunk memo: replaying the same artifact many times (the
         # suite's normal shape) must not re-inflate compressed chunks
         # every time — keyed ``(key, chunk_index)`` so eviction drops
-        # single chunks, oldest first. 0 disables it.
-        self.decode_cache_bytes = decode_cache_bytes
+        # single chunks, oldest first
         self._decoded: OrderedDict[tuple[str, int], _DecodedChunk] = \
             OrderedDict()
         self._decoded_bytes = 0
@@ -266,7 +275,7 @@ class PipelineEngine:
         try:
             recorder = EventLogProbe(pending.writer.append)
             rt = InstrumentedRuntime(
-                recorder, buffer_capacity=self._buffer_capacity)
+                recorder, buffer_capacity=RECORD_BUFFER_CAPACITY)
             recorder.attach_stack(rt.space.stack)
             app = spec.instantiate()
             app(rt)
@@ -304,12 +313,7 @@ class PipelineEngine:
         if h is not None:
             return h
         t0 = time.perf_counter()
-        try:
-            reader = ChunkedTraceReader(art.refs_path)
-        except TraceError as exc:
-            if exc.key is None:
-                exc.key = art.key
-            raise
+        reader = art.open_trace()
         try:
             events = art.events()
         except BaseException:
@@ -323,27 +327,17 @@ class PipelineEngine:
         return h
 
     def _verify_handle(self, h: _RunHandle) -> None:
-        """Scrub *h* before anything is delivered from it (idempotent).
-
-        Checks the commit marker, the event log's whole-file CRC, and
-        every chunk's stored CRC32 — a checksum pass over the mapped
-        data file with no decompression. Runs once per handle; raises
-        :class:`~repro.errors.TraceError` on any corruption, so a bad
-        artifact can never half-deliver into stateful probes."""
+        """Scrub *h* (:meth:`~repro.engine.artifacts.Artifact.scrub`)
+        before anything is delivered from it. Runs once per handle;
+        raises :class:`~repro.errors.TraceError` on any corruption, so a
+        bad artifact can never half-deliver into stateful probes."""
         if h.verified:
             return
         art = h.art
         t0 = time.perf_counter()
         try:
-            art.verify_marker()
-            reader = h.reader
-            reader.verify_stored()
-            self.stats.chunks_verified += reader.n_batches
-            art._check_n_batches(reader.n_batches, art.refs_path)
-        except TraceError as exc:
-            if exc.key is None:
-                exc.key = art.key
-            raise
+            art.scrub(h.reader)
+            self.stats.chunks_verified += h.reader.n_batches
         finally:
             stage = self.stats.stages["verify"]
             stage.calls += 1
@@ -359,12 +353,8 @@ class PipelineEngine:
             self._decoded.move_to_end(memo_key)
             return entry.batch
         t0 = time.perf_counter()
-        try:
+        with h.art.named_errors():
             batch = h.reader.read_batch(i)
-        except TraceError as exc:
-            if exc.key is None:
-                exc.key = h.art.key
-            raise
         stage = self.stats.stages["decode"]
         stage.calls += 1
         stage.wall_s += time.perf_counter() - t0
@@ -375,8 +365,8 @@ class PipelineEngine:
 
     def _remember_chunk(self, memo_key: tuple[str, int],
                         batch: RefBatch) -> None:
-        """Memoize a decoded chunk, LRU-bounded by ``decode_cache_bytes``."""
-        if self.decode_cache_bytes <= 0:
+        """Memoize a decoded chunk, LRU-bounded by ``DECODE_CACHE_BYTES``."""
+        if DECODE_CACHE_BYTES <= 0:
             return
         # a probe mutating a memoized batch would silently poison every
         # later replay; freeze the arrays so it raises instead (raw
@@ -384,14 +374,14 @@ class PipelineEngine:
         for arr in (batch.addr, batch.is_write, batch.size, batch.oid):
             arr.setflags(write=False)
         nbytes = _batch_nbytes(batch)
-        if nbytes > self.decode_cache_bytes:
+        if nbytes > DECODE_CACHE_BYTES:
             return
         old = self._decoded.pop(memo_key, None)
         if old is not None:
             self._decoded_bytes -= old.nbytes
         self._decoded[memo_key] = _DecodedChunk(batch, nbytes)
         self._decoded_bytes += nbytes
-        while self._decoded_bytes > self.decode_cache_bytes and self._decoded:
+        while self._decoded_bytes > DECODE_CACHE_BYTES and self._decoded:
             _, evicted = self._decoded.popitem(last=False)
             self._decoded_bytes -= evicted.nbytes
 
@@ -410,7 +400,6 @@ class PipelineEngine:
                 h.reader.close()
             except Exception:
                 pass
-        self._verified.discard(key)
 
     # ------------------------------------------------------------------
     def verified_artifact(self, spec: RunSpec) -> Artifact:
@@ -418,26 +407,23 @@ class PipelineEngine:
 
         A scrub failure (flipped bit, torn file, truncated trace)
         quarantines the artifact and falls back to a live re-record, with
-        up to ``max_rerecord_attempts`` retries under exponential backoff
+        up to ``MAX_RERECORD_ATTEMPTS`` retries under exponential backoff
         (transient ``OSError`` during the re-record is retried too).
         Each committed key is scrubbed once per engine instance; the
         scrub is chunk-stored-CRC granular, so it does not decompress
         payloads — decoding stays lazy for the replay itself. With
         ``self_heal=False`` the scrub still runs but corruption raises
-        directly instead of quarantining and re-recording. A key already
-        scrubbed is served from its open handle without another cache
-        lookup, so ``cache_hits`` counts each key once per engine."""
-        if spec.key in self._verified:
-            return self._handles[spec.key].art
-        art = self.record(spec)
-        if not self.self_heal:
-            self._verify_handle(self._handle(art))
-            self._verified.add(art.key)
-            return art
+        directly instead of quarantining and re-recording. A key with an
+        open handle is served from it without another cache lookup, so
+        ``cache_hits`` counts each key once per engine."""
+        h = self._handles.get(spec.key)
+        if h is not None and h.verified:
+            return h.art
+        art = h.art if h is not None else self.record(spec)
         last_exc: Exception | None = None
-        for attempt in range(self.max_rerecord_attempts + 1):
+        for attempt in range(MAX_RERECORD_ATTEMPTS + 1):
             if attempt:
-                time.sleep(self.rerecord_backoff_s * (2 ** (attempt - 1)))
+                time.sleep(RERECORD_BACKOFF_S * (2 ** (attempt - 1)))
                 try:
                     art = self.record(spec)
                 except (TraceError, OSError) as exc:
@@ -447,18 +433,35 @@ class PipelineEngine:
             try:
                 self._verify_handle(self._handle(art))
             except TraceError as exc:
+                if not self.self_heal:
+                    raise
                 last_exc = exc
                 self._forget(art.key)
                 self.cache.quarantine(art.key, reason=str(exc))
                 self.stats.quarantined += 1
                 continue
-            self._verified.add(art.key)
             return art
         raise TraceError(
             f"artifact for {spec} still unusable after "
-            f"{self.max_rerecord_attempts} re-record attempt(s): {last_exc}",
+            f"{MAX_RERECORD_ATTEMPTS} re-record attempt(s): {last_exc}",
             key=spec.key,
         )
+
+    def meta(self, spec: RunSpec) -> dict:
+        """*spec*'s run-level facts (recording first if needed) without
+        scrubbing its trace: from the scrubbed handle when this engine
+        has one, else through the commit-marker check alone
+        (:meth:`~repro.engine.artifacts.Artifact.verify_marker`). A
+        marker that fails the check takes :meth:`verified_artifact`'s
+        path (quarantine and re-record, or raise without
+        ``self_heal``)."""
+        h = self._handles.get(spec.key)
+        try:
+            if h is None:
+                h = self._handle(self.record(spec))
+            return h.art.meta if h.verified else h.art.verify_marker()
+        except TraceError:
+            return self.verified_artifact(spec).meta
 
     # ------------------------------------------------------------------
     def _chunk_iter(self, h: _RunHandle) -> Iterator[RefBatch]:

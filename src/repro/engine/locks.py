@@ -7,6 +7,10 @@ so an unsynchronized second writer would delete the first writer's
 half-written trace out from under it. :class:`KeyLock` serializes them
 with one ``flock``-ed lock file per content key, kept under
 ``<root>/.locks/`` so artifact directories stay exactly three files.
+The cache removes a key's lock files together with its directory, while
+it holds them (:meth:`~repro.engine.artifacts.ArtifactCache.gc`); so
+whoever gets a lock checks, once the ``flock`` lands, that its
+descriptor is still the file at the path, and re-opens it if not.
 
 ``flock`` locks are advisory, per open-file-description (so two handles
 in one process conflict just like two processes do), and — crucially for
@@ -170,10 +174,6 @@ class KeyLock:
     def held(self) -> bool:
         return self._fd is not None
 
-    def _open(self) -> int:
-        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        return os.open(self.path, os.O_CREAT | os.O_RDWR, 0o644)
-
     def _acquired(self) -> "KeyLock":
         """Post-acquisition fence validation: a stale token never holds."""
         if self.fence is not None:
@@ -191,37 +191,27 @@ class KeyLock:
         lock's fencing token went stale while waiting."""
         if self._fd is not None:
             return self
-        fd = self._open()
-        # once fd is handed to self._fd its lifecycle belongs to
-        # release() — the cleanup below must not double-close it (a
-        # fence refusal inside _acquired() already released the lock)
-        owned = True
-        try:
-            if fcntl is None:
-                self._fd, owned = fd, False
-                return self._acquired()
-            if timeout is None:
-                fcntl.flock(fd, fcntl.LOCK_EX)
-                self._fd, owned = fd, False
-                return self._acquired()
-            deadline = time.monotonic() + timeout
-            while True:
-                try:
-                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-                except OSError:
-                    if time.monotonic() >= deadline:
-                        raise CacheLockError(
-                            f"timed out after {timeout:.3f}s waiting for "
-                            f"artifact lock {self.path}"
-                        ) from None
-                    time.sleep(_POLL_S)
-                    continue
-                self._fd, owned = fd, False
-                return self._acquired()
-        except BaseException:
-            if owned:
-                os.close(fd)
-            raise
+        deadline = None if timeout is None else time.monotonic() + timeout
+        self._fd = _open_locked(self.path, os.O_RDWR,
+                                lambda fd: self._flock(fd, timeout, deadline))
+        return self._acquired()
+
+    def _flock(self, fd: int, timeout: float | None,
+               deadline: float | None) -> None:
+        if deadline is None:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            return
+        while True:
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                return
+            except OSError:
+                if time.monotonic() >= deadline:
+                    raise CacheLockError(
+                        f"timed out after {timeout:.3f}s waiting for "
+                        f"artifact lock {self.path}"
+                    ) from None
+                time.sleep(_POLL_S)
 
     def try_acquire(self) -> bool:
         """Non-blocking attempt; True iff the lock is now held."""
@@ -248,20 +238,37 @@ class KeyLock:
         self.release()
 
 
+def _open_locked(path: str, flags: int, lock) -> int:
+    """Open *path* (created if missing) and apply *lock* to the
+    descriptor; once it lands, return the descriptor if it is still the
+    file at *path*. A file unlinked meanwhile guards nothing, so the one
+    now at the path is opened and locked instead."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    while True:
+        fd = os.open(path, os.O_CREAT | flags, 0o644)
+        try:
+            if fcntl is not None:
+                lock(fd)
+            st, fst = os.stat(path), os.fstat(fd)
+        except FileNotFoundError:
+            os.close(fd)
+            continue
+        except BaseException:
+            os.close(fd)
+            raise
+        if (st.st_dev, st.st_ino) == (fst.st_dev, fst.st_ino):
+            return fd
+        os.close(fd)
+
+
 # ----------------------------------------------------------------------
 def pin(path: str) -> int:
     """Take a shared ``flock`` on *path* (created if missing) and return
     its descriptor; :func:`unpin` it to let go. Waits only while
     :func:`unpinned` holds the file, that is while a gc removes this
-    very key."""
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    fd = os.open(path, os.O_CREAT | os.O_RDONLY, 0o644)
-    try:
-        if fcntl is not None:
-            fcntl.flock(fd, fcntl.LOCK_SH)
-    except BaseException:
-        os.close(fd)
-        raise
+    very key (and then pins the file gc leaves at the path)."""
+    fd = _open_locked(path, os.O_RDONLY,
+                      lambda fd: fcntl.flock(fd, fcntl.LOCK_SH))
     _PINS.add(fd)
     return fd
 
@@ -283,15 +290,11 @@ def drop_inherited_pins() -> None:
 @contextlib.contextmanager
 def unpinned(path: str) -> Iterator[bool]:
     """Yield False while any process pins *path*; else yield True and
-    hold it exclusively for the block, so no pin lands meanwhile.
-
-    A missing file was never pinned: it yields True and is not
-    created."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except FileNotFoundError:
-        yield True
-        return
+    hold it exclusively for the block, so no pin lands meanwhile. The
+    file is created if missing, so the block may unlink it: a pinner
+    waiting on it then pins the file at the path instead."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    fd = os.open(path, os.O_CREAT | os.O_RDONLY, 0o644)
     try:
         try:
             if fcntl is not None:

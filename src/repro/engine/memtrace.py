@@ -47,7 +47,6 @@ from repro.cachesim.config import TABLE2_CONFIG
 from repro.cachesim.filtered import FilteredTrace
 from repro.cachesim.hierarchy import FILTER_VERSION, HierarchyStats
 from repro.errors import TraceError
-from repro.trace.chunked import ChunkedTraceReader
 
 from repro.engine.artifacts import Artifact
 from repro.engine.spec import RunSpec
@@ -107,27 +106,22 @@ def memtrace_meta(mspec: MemTraceSpec, trace: FilteredTrace) -> dict:
 def load_memtrace(art: Artifact) -> FilteredTrace:
     """Scrub the derived artifact *art* and return its trace.
 
-    Checks the commit marker, the (empty) event log's CRC and every
-    chunk's stored CRC32, then maps each chunk as read-only arrays. Any
+    :meth:`~repro.engine.artifacts.Artifact.scrub` checks it (commit
+    marker, the empty event log's CRC, every chunk's stored CRC32, the
+    batch count), then each chunk is mapped as read-only arrays. Any
     damage raises :class:`~repro.errors.TraceError` naming the key."""
-    meta = art.verify_marker()
-    try:
-        stats = HierarchyStats(
-            levels={name: LevelStats(**lv) for name, lv in meta["levels"]},
-            refs=int(meta["hierarchy_refs"]),
-            memory_reads=int(meta["memory_reads"]),
-            memory_writes=int(meta["memory_writes"]),
-        )
-        with ChunkedTraceReader(art.refs_path) as reader:
-            reader.verify_stored()
-            art._check_n_batches(reader.n_batches, art.refs_path)
-            batches = [reader.read_batch(i) for i in range(reader.n_batches)]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TraceError(f"artifact {art.key[:12]}: malformed memory-trace "
-                         f"meta: {exc!r}", key=art.key,
-                         path=art.meta_path) from exc
-    except TraceError as exc:
-        if exc.key is None:
-            exc.key = art.key
-        raise
+    with art.open_trace() as reader, art.named_errors():
+        meta = art.scrub(reader)
+        try:
+            stats = HierarchyStats(
+                levels={name: LevelStats(**lv) for name, lv in meta["levels"]},
+                refs=int(meta["hierarchy_refs"]),
+                memory_reads=int(meta["memory_reads"]),
+                memory_writes=int(meta["memory_writes"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TraceError(f"artifact {art.key[:12]}: malformed "
+                             f"memory-trace meta: {exc!r}", key=art.key,
+                             path=art.meta_path) from exc
+        batches = [reader.read_batch(i) for i in range(reader.n_batches)]
     return FilteredTrace(batches, stats)

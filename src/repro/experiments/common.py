@@ -36,7 +36,8 @@ class AppRun:
     ``result`` comes from a scavenger-only replay, ``cache_probe`` (and
     its ``memory_trace``) from :meth:`PipelineEngine.memory_trace
     <repro.engine.engine.PipelineEngine.memory_trace>`, ``instructions``
-    from the artifact's metadata; each is computed on first access.
+    from the artifact's checked commit marker; each is computed on first
+    access.
     """
 
     def __init__(self, engine: PipelineEngine, spec: RunSpec,
@@ -66,7 +67,7 @@ class AppRun:
 
     @cached_property
     def instructions(self) -> int:
-        return self._engine.verified_artifact(self._spec).meta["instructions"]
+        return self._engine.meta(self._spec)["instructions"]
 
 
 @dataclass

@@ -129,7 +129,6 @@ def run_all(
     retries: int = 1,
     budget_s: float | None = None,
     strict: bool = False,
-    prefetch: bool = True,
     jobs: int = 1,
     on_sched_event: Callable | None = None,
     run_id: str | None = None,
@@ -139,10 +138,10 @@ def run_all(
 ) -> list[ExperimentResult | ExperimentFailure]:
     """Run every experiment against one shared (cached) context.
 
-    ``prefetch`` records every declared artifact up front through the
-    context's engine (the trace-once phase); the experiments then only
-    replay, so each distinct run spec executes at most once per suite
-    invocation even across harness retries.
+    Every declared artifact is recorded up front through the context's
+    engine (the trace-once phase); the experiments then only replay, so
+    each distinct run spec executes at most once per suite invocation
+    even across harness retries.
 
     Each experiment runs isolated: an exception yields a structured
     :class:`ExperimentFailure` in the returned list (rendered as a
@@ -161,8 +160,8 @@ def run_all(
     is still executed exactly once. Results come back in the same
     canonical order with the same values as ``jobs=1``;
     ``on_sched_event`` receives live
-    :class:`~repro.sched.events.SchedEvent` progress rows. ``prefetch``
-    is implied (the record tasks *are* the prefetch). ``nvscavenger work
+    :class:`~repro.sched.events.SchedEvent` progress rows. The record
+    tasks *are* the up-front recording there. ``nvscavenger work
     --run-id`` agents on other hosts sharing the cache can join the run
     (``lease_ttl_s`` tunes their crash detection). The default
     ``jobs=1`` is the sequential in-process path, byte-for-byte
@@ -210,8 +209,7 @@ def run_all(
     )
     results: list[ExperimentResult | ExperimentFailure] = []
     try:
-        if prefetch:
-            ctx.prefetch(artifact_names(exps, ctx.apps))
+        ctx.prefetch(artifact_names(exps, ctx.apps))
         for name, fn in exps.items():
             results.append(runner.run_one(name, fn, ctx))
     except KeyboardInterrupt:

@@ -47,12 +47,11 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.engine.artifacts import RUN_DONE_MARKER, RUNS_DIR
 from repro.engine.locks import KeyLock
 from repro.errors import JournalError
 from repro.trace.fsio import OsFS, ensure_dir_chain, publish_file
 
-#: Subdirectory of the artifact-cache root holding per-run state.
-RUNS_DIR = "runs"
 #: The journal file inside one run directory.
 JOURNAL_FILE = "journal.jsonl"
 #: Flock file serializing journal writers across processes. The torn-
@@ -62,8 +61,6 @@ JOURNAL_FILE = "journal.jsonl"
 #: append and chop off a *good* record (or truncate at a stale offset
 #: and corrupt the stream for every later reader).
 JOURNAL_LOCK_FILE = "journal.lock"
-#: Zero-byte marker written when the run records ``run_finished``.
-DONE_MARKER = "DONE"
 
 #: Record kinds, in lifecycle order.
 RUN_STARTED = "run_started"
@@ -355,7 +352,7 @@ class RunJournal:
         # journal is forensics, an unfinished one is resumable state;
         # publish it durably — an acked run_finished whose marker
         # evaporates would make gc treat the run as resumable forever
-        marker = os.path.join(os.path.dirname(self.path), DONE_MARKER)
+        marker = os.path.join(os.path.dirname(self.path), RUN_DONE_MARKER)
         try:
             publish_file(marker, b"", self._fs)
         except OSError:

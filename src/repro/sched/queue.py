@@ -87,7 +87,11 @@ from dataclasses import asdict, dataclass, field, replace
 from multiprocessing.connection import wait as wait_for_exits
 from typing import Callable
 
-from repro.engine.artifacts import QUEUE_DIR, QUEUE_LEASES_DIR
+from repro.engine.artifacts import (
+    QUEUE_DIR,
+    QUEUE_LEASES_DIR,
+    QUEUE_MANIFEST_FILE,
+)
 from repro.engine.locks import (
     FencingToken,
     pid_alive,
@@ -123,13 +127,14 @@ from repro.trace.fsio import (
     read_json_or_none,
 )
 
-#: Queue sub-directories / files (leases dir name is shared with
-#: ``engine gc``'s liveness probe via :mod:`repro.engine.artifacts`).
+#: Queue sub-directories / files (the leases dir and the manifest are
+#: shared with ``engine gc``'s liveness probe via
+#: :mod:`repro.engine.artifacts`).
 TASKS_DIR = "tasks"
 LEASES_DIR = QUEUE_LEASES_DIR
 FENCE_DIR = "fence"
 RESULTS_DIR = "results"
-MANIFEST_FILE = "manifest.json"
+MANIFEST_FILE = QUEUE_MANIFEST_FILE
 STOP_FILE = "STOP"
 
 #: Exit code of a worker that was fenced out of its (only) task —

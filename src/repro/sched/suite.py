@@ -13,7 +13,7 @@ sequential run regardless of ``jobs`` or scheduling interleavings. Any
 such run can also be joined by ``nvscavenger work --run-id`` agents on
 other hosts sharing the cache.
 
-Every scheduled run is **journaled and resumable** by default: task
+Every scheduled run is **journaled and resumable**: task
 transitions and completed payloads land in an fsync'd write-ahead log
 under ``<cache-root>/runs/<run-id>/journal.jsonl`` (see
 :mod:`repro.sched.journal`). ``resume="<run-id>"`` replays that journal
@@ -157,7 +157,6 @@ def run_suite_parallel(
     task_timeout_s: float | None = None,
     run_id: str | None = None,
     resume: str | None = None,
-    journal: bool = True,
     drain_grace_s: float = 10.0,
     handle_signals: bool = True,
     lease_ttl_s: float | None = None,
@@ -186,8 +185,7 @@ def run_suite_parallel(
     seeded as done (their journaled payloads are returned verbatim),
     failed and skipped tasks get a fresh chance, and the graph
     fingerprint must match or :class:`~repro.errors.JournalError`
-    refuses the resume. ``journal=False`` disables the write-ahead log
-    entirely (the run is then not resumable). ``handle_signals``
+    refuses the resume. ``handle_signals``
     (default on, main thread only) arms the graceful SIGINT/SIGTERM
     drain: tasks in flight get ``drain_grace_s`` seconds to finish and
     journal, then the run raises :class:`~repro.errors.SuiteInterrupted`
@@ -232,21 +230,17 @@ def run_suite_parallel(
         seed_done = rstate.done
         seed_payloads = rstate.payloads
     if run_id is None:
-        # names the queue directory workers rendezvous at, even when
-        # the run is not journaled
+        # names the journal and the queue directory workers rendezvous at
         run_id = new_run_id(seed=ctx.seed)
-    jnl: RunJournal | None = None
-    if journal:
-        jnl = RunJournal.open(cache_root, run_id)
-        if resume is not None:
-            jnl.append("run_resumed", jobs=jobs,
-                       n_done=len(seed_done))
-        else:
-            jnl.append("run_started", run_id=run_id,
-                       fingerprint=graph.fingerprint(), jobs=jobs,
-                       seed=ctx.seed, apps=list(ctx.apps),
-                       refs_per_iteration=ctx.refs_per_iteration,
-                       scale=ctx.scale, n_iterations=ctx.n_iterations)
+    jnl = RunJournal.open(cache_root, run_id)
+    if resume is not None:
+        jnl.append("run_resumed", jobs=jobs, n_done=len(seed_done))
+    else:
+        jnl.append("run_started", run_id=run_id,
+                   fingerprint=graph.fingerprint(), jobs=jobs,
+                   seed=ctx.seed, apps=list(ctx.apps),
+                   refs_per_iteration=ctx.refs_per_iteration,
+                   scale=ctx.scale, n_iterations=ctx.n_iterations)
 
     try:
         outcome = QueueCoordinator(
@@ -269,8 +263,7 @@ def run_suite_parallel(
             exp_fns=exp_fns,
         ).run()
     except BaseException:
-        if jnl is not None:
-            jnl.close()
+        jnl.close()
         raise
 
     assert outcome.report is not None
@@ -287,21 +280,19 @@ def run_suite_parallel(
             ctx.engine.stats.merge(payload.get("stats", {}))
 
     if report.interrupted:
-        if jnl is not None:
-            jnl.close()
+        jnl.close()
         signum = int(report.signum or 0)
         n_done = sum(1 for t in graph.experiment_tasks
                      if t.task_id in outcome.payloads)
-        hint = f"; resume with --resume {run_id}" if jnl is not None else ""
         raise SuiteInterrupted(
             f"suite interrupted by signal {signum} after "
-            f"{n_done}/{len(graph.experiment_tasks)} experiment(s){hint}",
+            f"{n_done}/{len(graph.experiment_tasks)} experiment(s); "
+            f"resume with --resume {run_id}",
             signum=signum, run_id=run_id, report=report, completed=n_done,
         )
-    if jnl is not None:
-        jnl.run_finished(n_failed=report.n_failed,
-                         n_skipped=report.n_skipped)
-        jnl.close()
+    jnl.run_finished(n_failed=report.n_failed,
+                     n_skipped=report.n_skipped)
+    jnl.close()
 
     results: list = []
     for exp_id in exps:

@@ -145,9 +145,8 @@ class AnalysisService:
         self._inflight: dict[str, tuple[asyncio.Future, RecordHandle]] = {}
         #: key -> the pin its admitted request holds (None: pin failed)
         self._pins: dict[str, int | None] = {}
-        #: keys scrubbed once by this daemon (mirrors the engine's set)
-        self._verified: set[str] = set()
-        #: key -> content digest (warm responses skip re-hashing)
+        #: key -> content digest of an artifact this daemon scrubbed or
+        #: recorded (warm responses skip the scrub and the hashing)
         self._digests: dict[str, str] = {}
         self._tasks: set[asyncio.Task] = set()
         self.draining = False
@@ -307,7 +306,6 @@ class AnalysisService:
                 if payload.get("retried_after_crash"):
                     self.stats["worker_crash_retries"] += int(
                         payload["retried_after_crash"])
-                self._verified.add(key)
                 self._digests[key] = payload["digest"]
                 return {"ok": True, "key": key, "meta": payload["meta"],
                         "digest": payload["digest"], "cached": False}
@@ -339,25 +337,24 @@ class AnalysisService:
         if art is None:
             return None
         key = art.key
-        if key in self._verified and key in self._digests:
+        digest = self._digests.get(key)
+        if digest is None:
             try:
-                meta = art.meta
-            except TraceError:
-                return None  # vanished or torn since: re-record
-            return {"ok": True, "key": key, "meta": meta,
-                    "digest": self._digests[key], "cached": True}
+                # stored-CRC scrub, then the digest from the same
+                # reader's index: no trace decode on the warm path
+                with art.open_trace() as reader:
+                    art.scrub(reader)
+                    digest = art.content_digest(reader)
+            except TraceError as exc:
+                self.stats["quarantined"] += 1
+                self.cache.quarantine(key, reason=str(exc))
+                return None
+            self._digests[key] = digest
         try:
-            # stored-CRC scrub + index-derived digest: no trace decode on
-            # the warm path (v3 reads the CRCs straight from the index)
-            art.verify_integrity()
-            digest = art.content_digest()
-        except TraceError as exc:
-            self.stats["quarantined"] += 1
-            self.cache.quarantine(key, reason=str(exc))
-            return None
-        self._verified.add(key)
-        self._digests[key] = digest
-        return {"ok": True, "key": key, "meta": art.meta,
+            meta = art.meta
+        except TraceError:
+            return None  # vanished or torn since: re-record
+        return {"ok": True, "key": key, "meta": meta,
                 "digest": digest, "cached": True}
 
     def _respond(self, result: dict, *, coalesced: bool,

@@ -123,3 +123,29 @@ def test_lazy_fields_equal_one_combined_replay(ctx, app):
         assert plain(got) == plain(want)
     assert plain(run.cache_probe.stats()) == plain(probe.stats())
     assert run.instructions == art.meta["instructions"]
+
+
+def test_instructions_check_the_marker_not_the_recording(ctx):
+    """On a warm cache, ``instructions`` beside a stored memory trace
+    checksums none of the recording's chunks, and a torn marker is
+    healed like any other corruption."""
+    def same_cache():
+        return ExperimentContext(refs_per_iteration=2_000, scale=1.0 / 256.0,
+                                 n_iterations=3, apps=("gtc", "s3d"),
+                                 cache_dir=ctx.engine.cache.root)
+
+    warm = ctx.run("gtc")
+    expected = warm.instructions
+    warm.cache_probe  # records, filters and stores the memory trace
+    fresh = same_cache()
+    run = fresh.run("gtc")
+    run.cache_probe
+    assert run.instructions == expected
+    assert fresh.engine.stats.chunks_verified == 0
+    art = fresh.engine.cache.get(fresh.spec_for("gtc"))
+    with open(art.meta_path, "r+b") as fh:
+        fh.seek(5)
+        fh.write(b"#")
+    healed = same_cache()
+    assert healed.run("gtc").instructions == expected
+    assert healed.engine.stats.quarantined == 1

@@ -14,11 +14,18 @@ The contract under test:
 * ``run_all`` drives the whole experiment suite off one recording pass.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import repro
 from repro.cachesim import MemoryTraceProbe
 from repro.engine import EngineStats, PipelineEngine, RunSpec, VARIANT_PREFIX
+from repro.engine import engine as engine_module
 from repro.engine.engine import STAGE_NAMES
 from repro.errors import ConfigurationError
 from repro.scavenger import NVScavenger
@@ -264,11 +271,12 @@ class TestStageAccounting:
     def _calls_and_refs(self, stats):
         return {name: (st.calls, st.refs) for name, st in stats.stages.items()}
 
-    def test_replay_stage_counts(self, tmp_path):
+    def test_replay_stage_counts(self, tmp_path, monkeypatch):
         spec = RunSpec(app="gtc", **SPEC)
         # small chunks, so "one decode call per chunk" is checked over many
-        art = PipelineEngine(root=tmp_path / "cache",
-                             buffer_capacity=1_024).record(spec)
+        with monkeypatch.context() as m:
+            m.setattr(engine_module, "RECORD_BUFFER_CAPACITY", 1_024)
+            art = PipelineEngine(root=tmp_path / "cache").record(spec)
         refs, n_chunks = art.meta["refs"], art.meta["n_batches"]
         assert n_chunks > 1
 
@@ -355,9 +363,10 @@ class TestDecodeMemo:
             with pytest.raises(ValueError):
                 batch.addr[0] = 0
 
-    def test_zero_budget_disables_memo(self, tmp_path):
+    def test_zero_budget_disables_memo(self, tmp_path, monkeypatch):
         spec = RunSpec(app="gtc", **SPEC)
-        eng = PipelineEngine(root=tmp_path / "cache", decode_cache_bytes=0)
+        monkeypatch.setattr(engine_module, "DECODE_CACHE_BYTES", 0)
+        eng = PipelineEngine(root=tmp_path / "cache")
         eng.replay(spec, MemoryTraceProbe())
         assert eng.memoized_chunks(spec.key) == []
         # cold path still replays correctly
@@ -365,7 +374,7 @@ class TestDecodeMemo:
         eng.replay(spec, probe)
         assert probe.memory_trace
 
-    def test_lru_eviction_under_budget_pressure(self, tmp_path):
+    def test_lru_eviction_under_budget_pressure(self, tmp_path, monkeypatch):
         a = RunSpec(app="gtc", **SPEC)
         b = RunSpec(app="s3d", **SPEC)
         eng = make_engine(tmp_path)
@@ -373,7 +382,8 @@ class TestDecodeMemo:
         n_a = len(eng.memoized_chunks(a.key))
         size_a = sum(entry.nbytes for entry in eng._decoded.values())
         # budget fits one decoded run but not two
-        eng.decode_cache_bytes = int(size_a * 1.5)
+        monkeypatch.setattr(engine_module, "DECODE_CACHE_BYTES",
+                            int(size_a * 1.5))
         eng.replay(b, MemoryTraceProbe())
         n_b = eng.cache.get(b).meta["n_batches"]
         # b's chunks are all resident; a was partially evicted, oldest
@@ -395,3 +405,35 @@ class TestDecodeMemo:
         eng._forget(spec.key)
         assert eng.memoized_chunks(spec.key) == []
         assert spec.key not in eng._handles
+
+
+# ----------------------------------------------------------------------
+def test_default_root_is_removed_when_its_process_exits(tmp_path):
+    """A context without ``cache_dir`` caches under a fresh temporary
+    root, which the process that made it removes when it exits — not
+    when the engine is collected, as the memory trace it returned is a
+    view of that root's files."""
+    code = textwrap.dedent("""
+        import gc, os
+        from repro.experiments.common import ExperimentContext
+        ctx = ExperimentContext(refs_per_iteration=1000, scale=1 / 256,
+                                n_iterations=2)
+        run = ctx.run("gtc")
+        assert run.result is not None
+        trace = run.memory_trace
+        root = ctx.engine.cache.root
+        del ctx, run
+        gc.collect()
+        assert os.path.isdir(root)
+        assert sum(len(b) for b in trace) > 0
+        print(root)
+    """)
+    env = {k: v for k, v in os.environ.items() if k != "NVSCAVENGER_CACHE"}
+    env["TMPDIR"] = str(tmp_path)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().startswith(str(tmp_path))
+    assert not [n for n in os.listdir(tmp_path)
+                if n.startswith("nvscavenger-cache-")]

@@ -36,6 +36,7 @@ from repro.engine import (
     RunSpec,
     SimulatedCrash,
 )
+from repro.engine import engine as engine_module
 from repro.engine.chaos import flip_file_bit
 from repro.errors import CacheLockError, FaultInjectionError, TraceError
 from repro.resilience.faults import SCENARIOS, get_scenario
@@ -291,14 +292,16 @@ class TestSelfHealingReplay:
         assert healer.stats.quarantined == 1
         np.testing.assert_array_equal(addr_stream(probe), reference_trace)
 
-    def test_persistent_corruption_gives_up_loudly(self, tmp_path):
+    def test_persistent_corruption_gives_up_loudly(self, tmp_path,
+                                                   monkeypatch):
         """Bad media corrupting every re-record: bounded retries, then a
         TraceError naming the spec — never silent bad data."""
         spec = make_spec()
         fs = ChaosFS(scenario="io-bitflip-refs-persistent")
         cache = ArtifactCache(tmp_path, fs=fs)
-        eng = PipelineEngine(cache=cache, max_rerecord_attempts=1,
-                             rerecord_backoff_s=0.0)
+        monkeypatch.setattr(engine_module, "MAX_RERECORD_ATTEMPTS", 1)
+        monkeypatch.setattr(engine_module, "RERECORD_BACKOFF_S", 0.0)
+        eng = PipelineEngine(cache=cache)
         with pytest.raises(TraceError, match="re-record"):
             eng.replay(spec, MemoryTraceProbe())
         assert eng.stats.quarantined == 2  # initial + the retried copy
@@ -323,7 +326,8 @@ class TestSelfHealingReplay:
 
 # ----------------------------------------------------------------------
 class TestCorruptionIsLoud:
-    """Satellite: verify/batches against flipped and truncated traces."""
+    """The full scrub (``verify``) and the stored-CRC one every reader
+    runs (``scrub``) against flipped and truncated traces."""
 
     @pytest.fixture()
     def committed(self, tmp_path):
@@ -332,15 +336,20 @@ class TestCorruptionIsLoud:
         PipelineEngine(cache=cache).record(spec)
         return spec, cache
 
+    @staticmethod
+    def scrub(art):
+        with art.open_trace() as reader:
+            return art.scrub(reader)
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_single_bitflip_raises(self, committed, seed):
         spec, cache = committed
         art = cache.get(spec)
         flip_file_bit(art.refs_path, seed=seed)
         with pytest.raises(TraceError):
-            cache.verify(spec)
+            art.verify()
         with pytest.raises(TraceError):
-            list(art.batches())
+            self.scrub(art)
 
     @pytest.mark.parametrize("keep", [0, 10, 1000])
     def test_truncated_refs_raises(self, committed, keep):
@@ -354,9 +363,9 @@ class TestCorruptionIsLoud:
         with open(chunk, "wb") as fh:
             fh.write(data[:keep])
         with pytest.raises(TraceError):
-            cache.verify(spec)
+            art.verify()
         with pytest.raises(TraceError):
-            list(art.batches())
+            self.scrub(art)
 
     @pytest.mark.parametrize("keep", [0, 10, 63, 100])
     def test_truncated_index_raises(self, committed, keep):
@@ -369,7 +378,7 @@ class TestCorruptionIsLoud:
         with open(index, "wb") as fh:
             fh.write(data[:keep])
         with pytest.raises(TraceError):
-            cache.verify(spec)
+            art.verify()
 
     def test_missing_batches_vs_meta_detected(self, committed):
         """A trace that silently lost whole batches fails the meta
@@ -411,14 +420,15 @@ class TestCorruptionIsLoud:
         # and get() itself tolerates the vanished directory
         assert cache.get(spec) is None
 
-    def test_replay_never_delivers_bad_batches_to_probes(self, committed):
+    def test_replay_never_delivers_bad_batches_to_probes(self, committed,
+                                                         monkeypatch):
         """The probe set sees either the full valid stream or nothing —
         quarantine happens before delivery, not mid-stream."""
         spec, cache = committed
         art = cache.get(spec)
         flip_file_bit(art.refs_path, seed=11)
-        eng = PipelineEngine(cache=cache, max_rerecord_attempts=0,
-                             rerecord_backoff_s=0.0)
+        monkeypatch.setattr(engine_module, "MAX_RERECORD_ATTEMPTS", 0)
+        eng = PipelineEngine(cache=cache)
         probe = MemoryTraceProbe()
         with pytest.raises(TraceError):
             eng.replay(spec, probe)

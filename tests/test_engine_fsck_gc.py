@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import time
 
+import numpy as np
 import pytest
 
 from repro import cli
@@ -18,12 +19,20 @@ from repro.engine.artifacts import (
     _host_tag,
 )
 from repro.errors import ConfigurationError
+from repro.trace.record import RefBatch
 
 SPEC = dict(refs_per_iteration=800, scale=1.0 / 256.0, n_iterations=2)
 
 
 def make_spec(app="gtc", seed=0):
     return RunSpec(app=app, seed=seed, **SPEC)
+
+
+def leave_partial(cache, seed=99):
+    """A crashed recording of ``make_spec(seed)``: no commit marker."""
+    pending = cache.begin(make_spec(seed=seed))
+    pending.writer.close()
+    pending._finish()
 
 
 def populate(root, n=3):
@@ -97,6 +106,31 @@ class TestFsck:
         assert again.clean
         assert again.quarantined_dirs == 1
         assert not again.partial
+
+    def test_repair_keeps_a_partial_whose_key_lock_is_held(self, tmp_path):
+        """--repair removes a partial only under its key lock, as gc
+        does: a live recorder's in-progress files survive, and it can
+        still commit them."""
+        cache, _specs = populate(tmp_path, n=1)
+        spec = make_spec(seed=97)
+        pending = cache.begin(spec)  # holds the key lock
+        try:
+            report = cache.fsck(repair=True)
+            (entry,) = report.partial
+            assert entry.key == spec.key and not entry.action
+            assert os.path.isdir(pending.directory)
+            pending.writer.append(RefBatch(
+                addr=np.arange(8), is_write=np.zeros(8, bool),
+                size=np.full(8, 8), oid=np.zeros(8)))
+            art = pending.commit([], {"key": spec.key, "n_batches": 1})
+        except BaseException:
+            pending.abort()
+            raise
+        assert art.verify() == 1
+        # with the lock free, the same repair removes a partial
+        leave_partial(cache, seed=96)
+        report = cache.fsck(repair=True)
+        assert [e.action for e in report.partial] == ["removed"]
 
     def test_older_cache_container_is_corrupt(self, tmp_path):
         """An artifact whose trace an older cache wrote (``refs.tv3``)
@@ -231,19 +265,33 @@ class TestGc:
         assert cache.get(specs[0]) is None
         assert cache.gc(max_bytes=0).evicted == [specs[1].key]
 
+    def test_evicting_every_key_leaves_no_lock_files(self, tmp_path):
+        """A key's .lock and .pin files go with the key."""
+        cache, specs = populate(tmp_path)
+        for spec in specs:
+            unpin(cache.pin(spec.key))
+        locks = os.path.join(cache.root, ".locks")
+        assert len(os.listdir(locks)) == 2 * len(specs)
+        assert len(cache.gc(max_bytes=0).evicted) == len(specs)
+        assert os.listdir(locks) == []
+        # and a removed partial's lock goes too
+        leave_partial(cache)
+        assert cache.gc(max_bytes=0).removed_partial == 1
+        assert os.listdir(locks) == []
+
     def test_pin_taken_after_the_scan_still_blocks_eviction(
             self, tmp_path, monkeypatch):
         """gc checks the pin while it holds it across the removal, so a
         pin landing between the scan and the eviction keeps the key."""
         cache, specs = populate(tmp_path, n=1)
         fds = []
-        scan = cache._artifact_dirs
+        scan = cache.scan
 
         def scan_then_pin():
             yield from scan()
             fds.append(cache.pin(specs[0].key))
 
-        monkeypatch.setattr(cache, "_artifact_dirs", scan_then_pin)
+        monkeypatch.setattr(cache, "scan", scan_then_pin)
         try:
             report = cache.gc(max_bytes=0)
         finally:
@@ -278,13 +326,13 @@ class TestGc:
         pending.writer.close()
         pending._finish()  # a crashed recording: no commit marker
         builder = cache.lock_for(spec.key)
-        scan = cache._artifact_dirs
+        scan = cache.scan
 
         def scan_then_lock():
             yield from scan()
             assert builder.try_acquire()
 
-        monkeypatch.setattr(cache, "_artifact_dirs", scan_then_lock)
+        monkeypatch.setattr(cache, "scan", scan_then_lock)
         try:
             report = cache.gc(max_bytes=0)
         finally:
@@ -304,17 +352,16 @@ class TestGc:
         pending = cache.begin(spec)
         pending.writer.close()
         pending._finish()
-        scan = cache._artifact_dirs
+        scan = cache.scan
 
         def scan_then_commit():
             yield from scan()
             PipelineEngine(cache=cache).record(spec)
 
-        monkeypatch.setattr(cache, "_artifact_dirs", scan_then_commit)
+        monkeypatch.setattr(cache, "scan", scan_then_commit)
         report = cache.gc(max_bytes=1 << 30)
         assert report.removed_partial == 0
-        assert cache.get(spec) is not None
-        cache.verify(spec)
+        assert cache.get(spec).verify() > 0
 
     def test_partials_are_removed_first(self, tmp_path):
         cache, specs = populate(tmp_path, n=1)
@@ -514,3 +561,53 @@ class TestStageEviction:
         assert not os.path.exists(dead)
         assert os.path.isdir(live)
         assert cache.get(specs[0]) is not None
+
+
+# ----------------------------------------------------------------------
+class TestOneScan:
+    """fsck, gc and ``engine ls`` read one classified scan of the
+    fan-out and one vanish-tolerant byte count."""
+
+    def test_gc_fsck_and_ls_survive_a_file_that_vanished(
+            self, tmp_path, monkeypatch, capsys):
+        """Every ``publish_file`` temporary is renamed away: one the walk
+        listed may be gone before its size is read."""
+        cache, specs = populate(tmp_path, n=2)
+        sizes = sum(cache.get(s).size_bytes() for s in specs)
+        real_walk = os.walk
+
+        def walk_listing_a_ghost(top, *args, **kwargs):
+            for dirpath, dirnames, filenames in real_walk(top, *args,
+                                                          **kwargs):
+                yield dirpath, dirnames, filenames + ["meta.json.tmp"]
+
+        monkeypatch.setattr(os, "walk", walk_listing_a_ghost)
+        report = cache.gc(max_bytes=1 << 30)
+        assert report.before_bytes == sizes and not report.evicted
+        assert cache.fsck().clean
+        assert cli.main(["engine", "ls", "--cache-dir", str(tmp_path)]) == 0
+        assert "2 artifact(s)" in capsys.readouterr().out
+
+    def test_engine_ls_skips_an_orphaned_stage_holding_meta(
+            self, tmp_path, capsys):
+        """A fenced stage that got as far as its commit marker is not a
+        second copy of the artifact."""
+        cache, specs = populate(tmp_path, n=1)
+        key = specs[0].key
+        dead = TestStageEviction.dead_pid()
+        stage = cache.dir_for(key) + STAGE_MARKER + f"3-{dead}-{_host_tag()}"
+        shutil.copytree(cache.dir_for(key), stage)
+        assert cli.main(["engine", "ls", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert sum(ln.startswith(key[:12]) for ln in out.splitlines()) == 1
+        assert "1 artifact(s)" in out
+
+    def test_scan_classifies_each_entry_once(self, tmp_path):
+        cache, specs = populate(tmp_path, n=2)
+        flip_file_bit(cache.get(specs[0]).refs_path, seed=1)
+        cache.fsck(repair=True)  # specs[0] -> quarantine dir
+        leave_partial(cache)
+        stage = cache.dir_for(specs[1].key) + STAGE_MARKER + "4-1"
+        os.makedirs(stage)
+        kinds = sorted(e.kind for e in cache.scan())
+        assert kinds == ["committed", "partial", "quarantined", "staged"]

@@ -9,13 +9,17 @@ the lock, because that is the deployment story for ``run_all(jobs=N)``:
   1 across the pool) — the losers replay the winner's artifact;
 * a lock holder that dies ungracefully (SIGKILL — no ``finally``, no
   ``atexit``) must not deadlock anyone: the kernel releases ``flock``
-  on process death.
+  on process death;
+* gc unlinks an evicted key's lock files while it holds them: a process
+  blocked on one of them ends up holding the file now at the path.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import queue
+import shutil
 import signal
 import time
 
@@ -23,7 +27,7 @@ import pytest
 
 from repro.engine import PipelineEngine, RunSpec
 from repro.engine.artifacts import ArtifactCache
-from repro.engine.locks import KeyLock
+from repro.engine.locks import KeyLock, unpin, unpinned
 from repro.errors import CacheLockError
 
 pytestmark = pytest.mark.skipif(
@@ -56,6 +60,36 @@ def _begin_then_die(root: str, ready) -> None:
         fh.write(b"partial garbage")
     ready.set()
     time.sleep(3600)
+
+
+def _is_at(fd: int, path: str) -> bool:
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return False
+    fst = os.fstat(fd)
+    return (st.st_dev, st.st_ino) == (fst.st_dev, fst.st_ino)
+
+
+def _wait_on_key(root: str, key: str, what: str, timeout, gc_holds,
+                 waiting, done, q) -> None:
+    """Once gc holds *key*, block on its lock (or pin) file, which gc is
+    about to unlink; report whether what we got is the file at the
+    path, then hold it until *done*."""
+    cache = ArtifactCache(root)
+    assert gc_holds.wait(30)
+    waiting.set()
+    if what == "lock":
+        lock = cache.lock_for(key)
+        lock.acquire(timeout=timeout)
+        q.put(_is_at(lock._fd, lock.path))
+        done.wait(60)
+        lock.release()
+    else:
+        fd = cache.pin(key)
+        q.put(_is_at(fd, cache._pin_path(key)))
+        done.wait(60)
+        unpin(fd)
 
 
 class TestMultiProcessContention:
@@ -131,3 +165,67 @@ class TestMultiProcessContention:
         art = eng.record(RunSpec(**SPEC))  # cleans up, re-records
         assert eng.stats.app_runs == 1
         assert art.verify() > 0
+
+    @pytest.mark.parametrize("what,timeout", [
+        ("lock", None), ("lock", 60.0), ("pin", None)])
+    def test_waiter_on_a_file_gc_unlinks_holds_the_new_one(
+            self, tmp_path, monkeypatch, what, timeout):
+        """gc evicts a key, unlinking its .lock and .pin while it holds
+        them, as a recorder (blocking or polling) or a reader waits on
+        one, and a second holder takes the new file at the path before
+        gc lets go of the old one: the waiter ends up on the new file
+        too, so it waits out the second holder's lock, and its pin keeps
+        a later gc away."""
+        mp = multiprocessing.get_context("fork")
+        root = str(tmp_path / "cache")
+        spec = RunSpec(**SPEC)
+        PipelineEngine(root=root).record(spec)
+        cache = ArtifactCache(root)
+        target = (cache.lock_for(spec.key).path if what == "lock"
+                  else cache._pin_path(spec.key))
+        gc_holds, waiting, done = mp.Event(), mp.Event(), mp.Event()
+        q = mp.Queue()
+        waiter = mp.Process(target=_wait_on_key, args=(
+            root, spec.key, what, timeout, gc_holds, waiting, done, q))
+        waiter.start()
+        rmtree, unlink = shutil.rmtree, os.unlink
+        second = []
+
+        def rmtree_while_waited_on(path, *args, **kwargs):
+            # gc holds the key's lock and pin here
+            gc_holds.set()
+            assert waiting.wait(30)
+            time.sleep(0.3)  # let the waiter block on the old file
+            rmtree(path, *args, **kwargs)
+
+        def unlink_then_take_the_new_file(path, *args, **kwargs):
+            unlink(path, *args, **kwargs)
+            if path == target:
+                if what == "lock":
+                    second.append(cache.lock_for(spec.key))
+                    assert second[0].try_acquire()
+                else:
+                    second.append(cache.pin(spec.key))
+
+        monkeypatch.setattr(shutil, "rmtree", rmtree_while_waited_on)
+        monkeypatch.setattr(os, "unlink", unlink_then_take_the_new_file)
+        try:
+            assert cache.gc(max_bytes=0).evicted == [spec.key]
+            monkeypatch.undo()
+            assert second, "gc did not unlink the file"
+            if what == "lock":
+                # the waiter waits on the second holder's file
+                with pytest.raises(queue.Empty):
+                    q.get(timeout=0.5)
+                second[0].release()
+                assert q.get(timeout=30) is True
+                assert not cache.lock_for(spec.key).try_acquire()
+            else:
+                assert q.get(timeout=30) is True
+                unpin(second[0])
+                with unpinned(target) as free:
+                    assert not free
+        finally:
+            done.set()
+            waiter.join(timeout=30)
+        assert waiter.exitcode == 0
