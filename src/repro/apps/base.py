@@ -232,12 +232,9 @@ class ModelApp:
                 handles[s.name] = rt.malloc(
                     n_el, callsite=f"{self.info.name}:{s.name}", tags=s.tags
                 )
-        # initialization traffic happens outside the instrumented window
-        with rt.paused_recording():
-            for s in self.structures:
-                if s.segment != "heap" or not s.short_term:
-                    arr = handles[s.name]
-                    rt.store(arr, synthetic.sequential(arr.n_elements))
+        # initialization and post-processing traffic falls outside the
+        # instrumented window (the paper's §VI protocol): the runtime would
+        # drop it unread, so neither phase issues any
 
         # -------------------- main computation loop
         for it in range(1, self.n_iterations + 1):
@@ -246,11 +243,6 @@ class ModelApp:
 
         # -------------------- post-processing phase
         rt.begin_iteration(0)
-        with rt.paused_recording():
-            for s in self.structures:
-                if s.phase == "post":
-                    arr = handles[s.name]
-                    rt.load(arr, synthetic.sequential(arr.n_elements))
 
     # ------------------------------------------------------------------
     def _run_iteration(

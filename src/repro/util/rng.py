@@ -13,6 +13,12 @@ from typing import Sequence
 
 import numpy as np
 
+# numpy >= 2 loads ``numpy.random`` (its Cython extensions, ``secrets``,
+# ``hmac``) on first attribute access. Loading it with this module means a
+# process forked after ``import repro`` -- the serve daemon's record
+# children -- inherits it instead of importing it again on every request.
+import numpy.random  # noqa: F401
+
 
 def make_rng(seed: int | np.random.Generator | None = 0) -> np.random.Generator:
     """Return a ``Generator`` for *seed*.
@@ -41,16 +47,20 @@ def spawn_rngs(seed: int | np.random.Generator | None, n: int) -> list[np.random
     return [np.random.default_rng(s) for s in seeds]
 
 
+#: 64-bit FNV-1a constants
+_FNV_OFFSET = 1469598103934665603
+_FNV_PRIME = 1099511628211
+_MASK64 = (1 << 64) - 1
+
+
 def stable_hash32(parts: Sequence[object]) -> int:
     """A process-stable 32-bit hash of a tuple of printable parts.
 
     Used to derive per-object seeds from object signatures; Python's builtin
     ``hash`` is salted per process and therefore unsuitable.
     """
-    acc = np.uint64(1469598103934665603)  # FNV-1a offset basis
-    prime = np.uint64(1099511628211)
-    with np.errstate(over="ignore"):
-        for part in parts:
-            for byte in str(part).encode():
-                acc = np.uint64(acc ^ np.uint64(byte)) * prime
-    return int(acc & np.uint64(0xFFFFFFFF))
+    acc = _FNV_OFFSET
+    for part in parts:
+        for byte in str(part).encode():
+            acc = ((acc ^ byte) * _FNV_PRIME) & _MASK64
+    return acc & 0xFFFFFFFF

@@ -14,12 +14,13 @@ The contract under test:
   without a verdict;
 * a recording whose deadline expires mid-record is killed without
   leaking the key lock or a partial artifact — the cache stays
-  recordable and a follow-up request succeeds (the satellite (c)
-  regression);
+  recordable and a follow-up request succeeds;
 * a live daemon's in-flight spec keys are pinned: ``engine gc`` run in
   another process (or the daemon's own gc loop) keeps them while a
   request reads, records or has coalesced waiters, and evicts them after
-  the response; a SIGKILLed pinner protects nothing.
+  the response; a SIGKILLed pinner protects nothing;
+* a record child forked by a fresh daemon imports nothing: every module
+  its recording uses is loaded before the fork.
 """
 
 from __future__ import annotations
@@ -37,10 +38,11 @@ import time
 
 import pytest
 
+from repro.apps import APPLICATIONS, VARIANT_OF
 from repro.engine.artifacts import ArtifactCache
 from repro.engine.engine import PipelineEngine
 from repro.engine.locks import unpin
-from repro.engine.spec import RunSpec
+from repro.engine.spec import VARIANT_PREFIX, WORKLOAD_PREFIX, RunSpec
 from repro.sched.workers import default_start_method
 from repro.service.admission import AdmissionController
 from repro.service.breaker import CLOSED, HALF_OPEN, OPEN, BreakerBoard, CircuitBreaker
@@ -55,6 +57,7 @@ from repro.service.protocol import (
 )
 from repro.service.server import AnalysisService, ServeConfig
 from repro.service.worker import RecordHandle, run_record_worker
+from repro.workloads.families import FAMILIES
 
 SMALL = dict(refs_per_iteration=300, scale=1.0 / 256.0, n_iterations=2)
 
@@ -394,7 +397,7 @@ class TestRecordWorker:
 
     def test_deadline_expiry_mid_record_releases_lock_and_cache_recovers(
             self, tmp_path):
-        """The satellite (c) contract: a killed recording leaks nothing."""
+        """A killed recording leaks nothing."""
         # a deliberately heavy spec so the deadline lands mid-record
         spec = RunSpec(app="gtc", refs_per_iteration=1_000_000,
                        scale=1.0, n_iterations=10)
@@ -509,6 +512,66 @@ class TestPins:
             holder.wait(timeout=30)
             holder.stdout.close()
         assert cache.gc(0).evicted == [spec.key]
+
+
+#: Imports the daemon, then parses one request per app (argv) and records
+#: it through ``run_record_worker``, whose forked child reports in its
+#: reply the modules it added to ``sys.modules``. Prints the replies.
+CHILD_IMPORTS = """
+import json, sys, time
+import repro.service.server  # noqa: F401
+from repro.service import worker
+from repro.service.protocol import parse_request
+
+record_child = worker._record_child
+
+
+def reporting_child(spec, cache_root, scenario, seed, conn):
+    before = set(sys.modules)
+
+    class Reply:
+        def send(self, msg):
+            conn.send(dict(msg, imported=sorted(set(sys.modules) - before)))
+
+        def close(self):
+            conn.close()
+
+    record_child(spec, cache_root, scenario, seed, Reply())
+
+
+worker._record_child = reporting_child
+root, request = sys.argv[1], json.loads(sys.argv[2])
+replies = {}
+for app in sys.argv[3:]:
+    spec, _ = parse_request(dict(request, app=app))
+    out = worker.run_record_worker(
+        spec, root, worker.RecordHandle(time.monotonic() + 120))
+    replies[app] = (out["ok"], out.get("imported"))
+print(json.dumps(replies))
+"""
+
+
+@pytest.mark.skipif(default_start_method() != "fork",
+                    reason="record children must be forked from the daemon")
+def test_record_children_import_nothing(tmp_path):
+    """A record child starts with every module its recording uses already
+    imported, so a cold request pays no imports (numpy >= 2 loads
+    ``numpy.random`` lazily; ``repro.util.rng`` loads it eagerly). A
+    fresh interpreter, since this one may have imported more than a
+    daemon has."""
+    apps = (sorted(APPLICATIONS)
+            + [VARIANT_PREFIX + a for a in sorted(VARIANT_OF)]
+            + [WORKLOAD_PREFIX + w for w in sorted(FAMILIES)])
+    tiny = {"refs_per_iteration": 2000, "scale": 1 / 256, "n_iterations": 2,
+            "seed": 0}
+    out = subprocess.run(
+        [sys.executable, "-c", CHILD_IMPORTS, str(tmp_path),
+         json.dumps(tiny), *apps],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+        text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    replies = json.loads(out.stdout.splitlines()[-1])
+    assert replies == {app: [True, []] for app in apps}
 
 
 # ----------------------------------------------------------------------
