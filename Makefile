@@ -92,8 +92,9 @@ sched-smoke:
 		--refs 4000 --scale 0.00390625 --iterations 4 > /dev/null
 	@echo "sched smoke OK (jobs=2)"
 
-# Resume smoke: SIGTERM a real jobs=2 suite mid-run, resume the journal,
-# verify no journaled task is re-executed (matches CI's resume job).
+# Resume smoke: SIGTERM a real suite mid-run at jobs=1, then at jobs=2,
+# resume each journal, verify no journaled task is re-executed (matches
+# CI's resume job).
 resume-smoke:
 	$(PY) tools/resume_smoke.py
 

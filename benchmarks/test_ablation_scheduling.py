@@ -6,7 +6,6 @@ the real application traces so the simplification is a *measured*
 approximation, not an assumption.
 """
 
-import numpy as np
 import pytest
 
 from repro.nvram.technology import DRAM_DDR3

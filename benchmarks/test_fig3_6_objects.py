@@ -1,6 +1,5 @@
 """Bench: Figures 3-6 — per-object metrics for global and heap data."""
 
-from repro.experiments import run_experiment
 from repro.experiments.fig3_6 import run_one
 from repro.scavenger.metrics import high_rw_bytes, read_only_bytes
 from repro.util.units import MiB

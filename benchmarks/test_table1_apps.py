@@ -1,7 +1,5 @@
 """Bench: Table I — application characteristics."""
 
-import pytest
-
 from repro.experiments import run_experiment
 
 

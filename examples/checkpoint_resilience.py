@@ -14,13 +14,12 @@ import numpy as np
 
 from repro.hybrid.checkpoint import (
     NVRAM_LOCAL,
-    PFS_DISK,
     compare_targets,
     nvram_capacity_for_checkpointing,
     plan_checkpoints,
 )
-from repro.nvram import PCRAM, EnduranceModel, simulate_leveling
-from repro.util.units import GiB, MiB, fmt_bytes
+from repro.nvram import PCRAM, simulate_leveling
+from repro.util.units import GiB, fmt_bytes
 
 
 def main() -> None:

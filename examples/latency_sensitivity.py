@@ -13,7 +13,6 @@ import numpy as np
 
 from repro import MemoryTraceProbe, PerformanceSimulator, create_app
 from repro.instrument import InstrumentedRuntime
-from repro.nvram import DRAM_DDR3, MRAM, PCRAM, STTRAM
 
 LATENCIES = [10, 12, 15, 20, 30, 50, 75, 100, 150, 200]
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from repro import DRAM_DDR3, MRAM, PCRAM, STTRAM, MemoryTraceProbe, create_app, simulate_power
 from repro.instrument import InstrumentedRuntime
 from repro.trace.io import write_trace
-from repro.util.units import fmt_bytes, fmt_time_ns
+from repro.util.units import fmt_time_ns
 
 
 def main() -> None:

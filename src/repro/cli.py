@@ -625,9 +625,10 @@ def main(argv: list[str] | None = None) -> int:
                       help="persistent artifact-cache root (default: temp "
                            "dir; reuse for warm-cache sweeps)")
     p_ps.add_argument("--jobs", type=int, default=1,
-                      help="worker processes for the record phase "
-                           "(0 = one per CPU); `nvscavenger work` agents "
-                           "can join any --jobs run")
+                      help="worker processes for the sweep's tasks "
+                           "(default 1: run in this process; 0 = one per "
+                           "CPU); `nvscavenger work` agents can join any "
+                           "run")
     p_cc = sub.add_parser(
         "crashcheck",
         help="model-check a durable protocol's crash consistency")

@@ -209,7 +209,7 @@ def _journal_workload(root: str, fs: RecordingFS, mark: MarkLog) -> None:
         j.task_started(tid, attempt=0)
         mark("append", seq=seq, kind=jn.TASK_STARTED, task_id=tid)
         seq += 1
-        j.task_finished(tid, attempt=0, payload={"i": i})
+        j.task_finished(tid, attempt=0, payload=jn.encode_payload({"i": i}))
         mark("append", seq=seq, kind=jn.TASK_FINISHED, task_id=tid)
         seq += 1
     j.run_finished(n_failed=0, n_skipped=0)

@@ -188,6 +188,15 @@ class EngineStats:
         return "\n".join(lines)
 
 
+#: The roots :func:`_default_root` made (forked children inherit them).
+_TEMPORARY_ROOTS: set[str] = set()
+
+
+def is_temporary_root(root: str) -> bool:
+    """Whether *root*, any suite journal in it too, goes at exit."""
+    return os.fspath(root) in _TEMPORARY_ROOTS
+
+
 def _default_root() -> str:
     """``$NVSCAVENGER_CACHE``, else a fresh temporary root that this
     process (not a forked child sharing it) removes at exit — not when
@@ -197,6 +206,7 @@ def _default_root() -> str:
     if env:
         return env
     root = tempfile.mkdtemp(prefix="nvscavenger-cache-")
+    _TEMPORARY_ROOTS.add(root)
     atexit.register(_remove_root, root, os.getpid())
     return root
 

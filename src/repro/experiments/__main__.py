@@ -5,15 +5,15 @@ Exit codes: 0 success, 2 usage/configuration errors (including a
 ``--resume`` whose journal is missing or belongs to a different suite),
 ``128 + signum`` when the suite is interrupted — 130 for SIGINT/Ctrl-C,
 143 for SIGTERM — after the scheduler's graceful drain has journaled
-every in-flight result it could."""
+every in-flight result it could (at ``--jobs 1`` the running task is
+abandoned at once)."""
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
-from repro.engine.engine import CACHE_ENV
+from repro.engine.engine import CACHE_ENV, is_temporary_root
 from repro.errors import ConfigurationError, JournalError, SuiteInterrupted
 from repro.experiments.common import ExperimentContext
 from repro.experiments.runner import (
@@ -52,21 +52,21 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="with 'all': worker processes for the suite (default 1 = "
-             "sequential in-process; 0 = auto: one per CPU, clamped to "
-             "the task graph's useful parallelism). Each task runs in a "
-             "fresh worker process; tasks are published to a work queue "
-             "under <cache-dir>/runs/<run-id>/queue/ that hosts sharing "
-             "the cache can join via `nvscavenger work --run-id`. Workers "
-             "share the artifact cache, so each distinct run spec is "
-             "still executed exactly once and results are identical to "
-             "--jobs 1",
+        help="with 'all': worker processes for the suite (default 1: "
+             "the coordinator runs every task itself, with no crash "
+             "isolation or task timeout; 0 = auto: one per CPU, clamped "
+             "to the task graph's useful parallelism). Above 1 each task "
+             "runs in a fresh worker process. Tasks are published to a "
+             "work queue under <cache-dir>/runs/<run-id>/queue/ that "
+             "hosts sharing the cache can join via `nvscavenger work "
+             "--run-id`. Tasks share the artifact cache, so each distinct "
+             "run spec is executed exactly once and results are the same "
+             "for any --jobs",
     )
     parser.add_argument(
         "--run-id", default=None, metavar="ID",
         help="with 'all': name this run's write-ahead journal under "
-             "<cache-dir>/runs/<ID>/ (default: a fresh timestamped id); "
-             "forces the scheduled path even at --jobs 1",
+             "<cache-dir>/runs/<ID>/ (default: a fresh timestamped id)",
     )
     parser.add_argument(
         "--resume", default=None, metavar="ID",
@@ -77,7 +77,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--grace", type=float, default=10.0, metavar="S",
         help="seconds to let in-flight workers drain after SIGINT/SIGTERM "
-             "before they are terminated (default 10); the suite exits "
+             "before they are terminated (default 10; at --jobs 1 the "
+             "running task is abandoned at once); the suite exits "
              "128+signum either way and can be resumed with --resume",
     )
     args = parser.parse_args(argv)
@@ -92,14 +93,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.resume is not None and args.run_id is not None:
             raise ConfigurationError(
                 "--resume and --run-id are mutually exclusive")
-        if ((args.resume is not None or args.run_id is not None)
-                and args.cache_dir is None
-                and not os.environ.get(CACHE_ENV)):
-            raise ConfigurationError(
-                "--resume/--run-id need a persistent cache: pass "
-                f"--cache-dir or set ${CACHE_ENV} (the default temp-dir "
-                "cache vanishes with the process, and the journal lives "
-                "under it)")
         if args.grace < 0:
             raise ConfigurationError(
                 f"--grace must be >= 0 seconds, got {args.grace}")
@@ -110,6 +103,13 @@ def main(argv: list[str] | None = None) -> int:
             seed=args.seed,
             cache_dir=args.cache_dir,
         )
+        if ((args.resume is not None or args.run_id is not None)
+                and is_temporary_root(ctx.engine.cache.root)):
+            raise ConfigurationError(
+                "--resume/--run-id need a persistent cache: pass "
+                f"--cache-dir or set ${CACHE_ENV} (the default temp-dir "
+                "cache vanishes with the process, and the journal lives "
+                "under it)")
         if args.experiment == "all":
             on_event = None
             if jobs_estimate > 1:

@@ -1,6 +1,7 @@
 """Run experiments by id; regenerate EXPERIMENTS.md.
 
-``run_all`` executes under the hardened harness from
+``run_all`` runs the suite over the :mod:`repro.sched` work queue, each
+experiment under the hardened harness from
 :mod:`repro.resilience.harness`: a failing experiment becomes a
 structured :class:`~repro.resilience.harness.ExperimentFailure` row in
 EXPERIMENTS.md instead of aborting the suite, transient failures are
@@ -11,11 +12,9 @@ wall-clock budget degrades fidelity instead of hanging.
 from __future__ import annotations
 
 import io
-import signal
-import sys
 from typing import Callable
 
-from repro.errors import ConfigurationError, SuiteInterrupted
+from repro.errors import ConfigurationError
 from repro.experiments import (
     capacity,
     configs,
@@ -36,12 +35,7 @@ from repro.experiments import (
     table6,
 )
 from repro.experiments.common import ExperimentContext, ExperimentResult
-from repro.resilience.harness import (
-    ExperimentBudget,
-    ExperimentFailure,
-    HardenedRunner,
-    RetryPolicy,
-)
+from repro.resilience.harness import ExperimentFailure
 
 #: id -> runner
 EXPERIMENTS: dict[str, Callable[[ExperimentContext], ExperimentResult]] = {
@@ -96,32 +90,6 @@ def run_experiment(name: str, ctx: ExperimentContext | None = None) -> Experimen
     return fn(ctx)
 
 
-def artifact_names(
-    exps: dict[str, Callable[[ExperimentContext], ExperimentResult]],
-    apps: tuple[str, ...],
-) -> list[str]:
-    """Distinct artifact names the given experiments declare, in order.
-
-    Each experiment module may export ``ARTIFACTS``: the app names (or
-    ``variant:<app>`` entries) it replays at context fidelity. Entries
-    whose base application is outside *apps* are skipped —
-    ``workload:<family>`` entries pass unconditionally, since workload
-    families are not restricted by the context's app list.
-    """
-    from repro.engine.spec import WORKLOAD_PREFIX
-
-    allowed = set(apps)
-    seen: list[str] = []
-    for fn in exps.values():
-        mod = sys.modules.get(getattr(fn, "__module__", ""), None)
-        for name in getattr(mod, "ARTIFACTS", ()):
-            base = name.split(":", 1)[1] if ":" in name else name
-            if ((base in allowed or name.startswith(WORKLOAD_PREFIX))
-                    and name not in seen):
-                seen.append(name)
-    return seen
-
-
 def run_all(
     ctx: ExperimentContext | None = None,
     *,
@@ -136,93 +104,45 @@ def run_all(
     drain_grace_s: float = 10.0,
     lease_ttl_s: float | None = None,
 ) -> list[ExperimentResult | ExperimentFailure]:
-    """Run every experiment against one shared (cached) context.
+    """Run every experiment over the :mod:`repro.sched` work queue.
 
-    Every declared artifact is recorded up front through the context's
-    engine (the trace-once phase); the experiments then only replay, so
-    each distinct run spec executes at most once per suite invocation
-    even across harness retries.
-
-    Each experiment runs isolated: an exception yields a structured
-    :class:`ExperimentFailure` in the returned list (rendered as a
-    failure row by :func:`experiments_markdown`) after ``retries``
-    deterministic reseeded re-runs, unless ``strict`` is set, in which
-    case the suite aborts with
-    :class:`~repro.errors.ExperimentAbortedError`. ``budget_s`` bounds
-    each experiment's wall-clock time; overruns are re-run once at
-    reduced ``refs_per_iteration`` (noted in the result).
-
-    ``jobs > 1`` runs the suite through the :mod:`repro.sched` work
-    queue instead: record tasks (one per distinct run spec) execute
-    first, experiments run as their dependencies land, each task in a
-    fresh local worker process (at most ``jobs`` at a time), and
-    workers coordinate through the shared artifact cache so each spec
-    is still executed exactly once. Results come back in the same
-    canonical order with the same values as ``jobs=1``;
-    ``on_sched_event`` receives live
-    :class:`~repro.sched.events.SchedEvent` progress rows. The record
-    tasks *are* the up-front recording there. ``nvscavenger work
-    --run-id`` agents on other hosts sharing the cache can join the run
-    (``lease_ttl_s`` tunes their crash detection). The default
-    ``jobs=1`` is the sequential in-process path, byte-for-byte
-    identical to previous behavior.
-
-    The scheduled path journals every task to
-    ``<cache-root>/runs/<run-id>/journal.jsonl``; ``resume`` replays a
-    previous run's journal so only unfinished tasks execute (``run_id``
-    or ``resume`` forces the scheduled path even at ``jobs=1``). A
-    SIGINT/SIGTERM mid-suite drains in-flight workers for
-    ``drain_grace_s`` seconds and raises
+    Record tasks (one per distinct run spec) run first and experiments
+    as their dependencies land, so each spec executes at most once per
+    suite; results come back in canonical order, the same for any
+    ``jobs``. At the default ``jobs=1`` the coordinator runs every task
+    itself against one context; ``jobs > 1`` runs each in a fresh
+    worker process, which alone isolates a task that crashes or hangs
+    (``jobs=0``: one per CPU). See
+    :func:`~repro.sched.suite.run_suite_parallel` for ``on_sched_event``,
+    ``lease_ttl_s`` and the journal: every run journals under
+    ``<cache-root>/runs/<run_id>/``, and ``resume`` reruns only a
+    previous run's unfinished tasks. An interrupt raises
     :class:`~repro.errors.SuiteInterrupted` (``exit_code = 128 +
-    signum``) — as does a ``KeyboardInterrupt`` on the sequential path,
-    which aborts the suite immediately instead of being retried or
-    recorded as an experiment failure.
+    signum``) after draining workers for ``drain_grace_s``.
 
-    ``jobs=0`` sizes the pool to the CPU count (clamped to the suite's
-    useful width).
+    An experiment that raises yields an :class:`ExperimentFailure` row
+    after ``retries`` reseeded re-runs; ``strict`` then raises
+    :class:`~repro.errors.ExperimentAbortedError` once the suite has
+    finished. ``budget_s`` bounds each experiment's wall-clock time;
+    overruns are re-run once at reduced ``refs_per_iteration``.
     """
-    ctx = ctx or ExperimentContext()
-    exps = EXPERIMENTS if experiments is None else experiments
-    if jobs != 1 or run_id is not None or resume is not None:
-        from repro.sched.suite import run_suite_parallel
+    from repro.sched.suite import run_suite_parallel
 
-        # jobs passes through raw: run_suite_parallel resolves 0 with
-        # the graph in hand, clamping auto-sizing to the suite's useful
-        # width
-        results, _report = run_suite_parallel(
-            ctx, exps,
-            jobs=jobs,
-            retries=retries,
-            budget_s=budget_s,
-            strict=strict,
-            on_event=on_sched_event,
-            run_id=run_id,
-            resume=resume,
-            drain_grace_s=drain_grace_s,
-            lease_ttl_s=lease_ttl_s,
-        )
-        return results
-    runner = HardenedRunner(
-        retry=RetryPolicy(retries=retries),
-        budget=ExperimentBudget(wall_s=budget_s) if budget_s is not None else None,
+    ctx = ctx or ExperimentContext()
+    # jobs passes through raw: run_suite_parallel resolves 0 with the
+    # graph in hand, clamping auto-sizing to the suite's useful width
+    results, _report = run_suite_parallel(
+        ctx, EXPERIMENTS if experiments is None else experiments,
+        jobs=jobs,
+        retries=retries,
+        budget_s=budget_s,
         strict=strict,
+        on_event=on_sched_event,
+        run_id=run_id,
+        resume=resume,
+        drain_grace_s=drain_grace_s,
+        lease_ttl_s=lease_ttl_s,
     )
-    results: list[ExperimentResult | ExperimentFailure] = []
-    try:
-        ctx.prefetch(artifact_names(exps, ctx.apps))
-        for name, fn in exps.items():
-            results.append(runner.run_one(name, fn, ctx))
-    except KeyboardInterrupt:
-        # a Ctrl-C must abort the suite cleanly (exit 130), never be
-        # swallowed into a per-experiment failure row or burn the retry
-        # budget — the harness re-raises it and we surface it here with
-        # how far the suite got
-        raise SuiteInterrupted(
-            f"suite interrupted by SIGINT after {len(results)}/"
-            f"{len(exps)} experiment(s)",
-            signum=int(signal.SIGINT),
-            completed=len(results),
-        ) from None
     return results
 
 

@@ -1,32 +1,20 @@
-"""repro.sched — dependency-aware, multi-process execution of the suite.
+"""repro.sched — dependency-aware, journaled execution of the suite.
 
-The subsystem has these layers:
+Layers, each described in its module:
 
-* :mod:`repro.sched.graph` — expands one suite invocation into a
-  deterministic DAG: one record task per *distinct* run spec
-  (content-addressed dedup), one experiment task per experiment,
-  depending on the records for the artifacts its module declares;
-* :mod:`repro.sched.workers` — spawn-safe task execution
-  (:func:`~repro.sched.workers.task_process_main`); workers coordinate
-  through the shared artifact cache's per-key ``flock`` so a spec is
-  executed once cluster-wide no matter how tasks land;
-* :mod:`repro.sched.journal` — the per-run write-ahead log: CRC32'd
-  fsync'd JSONL appends under ``<cache-root>/runs/<run-id>/``, torn-tail
-  truncation, and the replay that turns a journal back into scheduler
-  state for ``resume=``;
+* :mod:`repro.sched.graph` — the suite as a deterministic DAG: one
+  record task per distinct run spec, one experiment task per
+  experiment, depending on the records its module declares;
+* :mod:`repro.sched.workers` — task execution; tasks coordinate only
+  through the shared artifact cache's per-key ``flock``;
+* :mod:`repro.sched.journal` — the per-run write-ahead log under
+  ``<cache-root>/runs/<run-id>/`` and its replay for ``resume=``;
 * :mod:`repro.sched.queue` — the executor: a crash-consistent
-  filesystem work queue under the run directory, with ``O_EXCL`` lease
-  claims, heartbeat liveness, and monotonic fencing epochs so a revoked
-  (zombie) worker can never commit over its successor. Its coordinator
-  forks one-task local workers on demand, retries crashed or timed-out
-  tasks with a deterministic reseed, skips the dependents of a task out
-  of retries, and drains gracefully on SIGINT/SIGTERM; any host sharing
-  the cache joins a run via ``nvscavenger work``;
-* :mod:`repro.sched.suite` — the ``run_all(jobs=N)`` entry point:
-  canonical result ordering and parent-side stats merging, so a
-  parallel suite run is bit-identical to a sequential one — resumed or
-  not. ``jobs=N`` is the pool size; ``jobs=0`` sizes it to the CPU
-  count, clamped to the graph's useful width.
+  filesystem work queue with ``O_EXCL`` leases and fencing epochs; at
+  ``jobs=1`` its coordinator runs each task itself, otherwise it forks
+  one-task workers, and ``nvscavenger work`` agents may join;
+* :mod:`repro.sched.suite` — every ``run_all``'s entry point: canonical
+  result order and stats merging, bit-identical for any ``jobs``.
 """
 
 from repro.sched.events import (

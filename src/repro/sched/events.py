@@ -101,8 +101,10 @@ class SchedulerReport:
     interrupted: bool = False
     #: the delivering signal number when ``interrupted``
     signum: int | None = None
-    #: the suite journal's run id (None when journaling was off)
+    #: the suite journal's run id
     run_id: str | None = None
+    #: the artifact-cache root the run's journal lives under
+    cache_root: str = ""
     #: per-task wall seconds of the successful attempt
     task_wall_s: dict[str, float] = field(default_factory=dict)
     events: list[SchedEvent] = field(default_factory=list)
@@ -142,5 +144,15 @@ class SchedulerReport:
         if self.interrupted:
             s += f"; INTERRUPTED by signal {self.signum}"
             if self.run_id:
-                s += f" (resume with --resume {self.run_id})"
+                s += f" ({self.resume_hint()})"
         return s
+
+    def resume_hint(self) -> str:
+        """How to pick the run up, unless its journal goes at exit."""
+        from repro.engine.engine import is_temporary_root
+
+        if not is_temporary_root(self.cache_root):
+            return f"resume with --resume {self.run_id}"
+        return ("it cannot be resumed: its journal was under a temporary "
+                "cache root, removed at exit; pass --cache-dir or set "
+                "$NVSCAVENGER_CACHE to make a run resumable")

@@ -38,6 +38,7 @@ gc` uses it to tell evictable completed runs from resumable ones.
 from __future__ import annotations
 
 import base64
+import contextlib
 import hashlib
 import json
 import os
@@ -47,8 +48,12 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any
 
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX: no cross-process lock
+    fcntl = None  # type: ignore[assignment]
+
 from repro.engine.artifacts import RUN_DONE_MARKER, RUNS_DIR
-from repro.engine.locks import KeyLock
 from repro.errors import JournalError
 from repro.trace.fsio import OsFS, ensure_dir_chain, publish_file
 
@@ -101,11 +106,10 @@ def _canonical(rec: dict) -> bytes:
 
 
 def encode_line(rec: dict) -> bytes:
-    """One journal line: the record wrapped with its own CRC32."""
-    return json.dumps(
-        {"crc32": zlib.crc32(_canonical(rec)), "rec": rec},
-        sort_keys=True, separators=(",", ":"),
-    ).encode() + b"\n"
+    """One journal line: the record wrapped with its own CRC32 (the
+    canonical JSON of ``{"crc32": N, "rec": rec}``)."""
+    body = _canonical(rec)
+    return b'{"crc32":%d,"rec":%s}\n' % (zlib.crc32(body), body)
 
 
 def encode_payload(payload: Any) -> dict:
@@ -246,10 +250,10 @@ class RunJournal:
     """Append-only, fsync'd writer over one run's journal file.
 
     All physical writes — the torn-tail truncation at :meth:`open` and
-    every :meth:`append` — happen under a cross-process flock
-    (``journal.lock`` next to the journal), so a coordinator and a
-    late-joining queue worker sharing one journal can never interleave
-    a truncate with an append or tear each other's lines.
+    every append — happen under a cross-process flock (``journal.lock``
+    next to the journal, open until :meth:`close`), so two coordinators
+    opening one run's journal can never interleave a truncate with an
+    append or tear each other's lines.
     """
 
     def __init__(self, path: str, fsync: bool = True,
@@ -258,8 +262,9 @@ class RunJournal:
         self.fsync = fsync
         self._fs = fs if fs is not None else OsFS()
         self._fh = None
-        self._lock = KeyLock(os.path.join(
-            os.path.dirname(path) or ".", JOURNAL_LOCK_FILE))
+        self._lock_path = os.path.join(os.path.dirname(path) or ".",
+                                       JOURNAL_LOCK_FILE)
+        self._lock_fd: int | None = None
 
     @classmethod
     def open(cls, cache_root: str, run_id: str, fsync: bool = True,
@@ -279,7 +284,7 @@ class RunJournal:
         # loss (the crashcheck journal protocol reproduces this)
         ensure_dir_chain(os.path.dirname(path), cache_root, fs)
         jnl = cls(path, fsync=fsync, fs=fs)
-        with jnl._lock:
+        with jnl._locked():
             if fs.exists(path):
                 state = read_journal(path)
                 if state.torn:
@@ -287,6 +292,19 @@ class RunJournal:
                         fh.truncate(state.good_bytes)
                         fs.fsync(fh)
         return jnl
+
+    @contextlib.contextmanager
+    def _locked(self):
+        if self._lock_fd is None:
+            self._lock_fd = os.open(self._lock_path,
+                                    os.O_CREAT | os.O_RDWR, 0o644)
+        if fcntl is not None:
+            fcntl.flock(self._lock_fd, fcntl.LOCK_EX)
+        try:
+            yield
+        finally:
+            if fcntl is not None:
+                fcntl.flock(self._lock_fd, fcntl.LOCK_UN)
 
     def _handle(self):
         if self._fh is None:
@@ -302,23 +320,27 @@ class RunJournal:
     def append(self, kind: str, **fields) -> dict:
         """Durably append one record (under the journal flock)."""
         rec = {"kind": kind, "t": round(time.time(), 3), **fields}
-        with self._lock:
+        self._write(encode_line(rec))
+        return rec
+
+    def _write(self, lines: bytes) -> None:
+        with self._locked():
             fh = self._handle()
-            fh.write(encode_line(rec))
+            fh.write(lines)
             if self.fsync:
                 self._fs.fsync(fh)
             else:
                 fh.flush()
-        return rec
 
     # -- scheduler-facing convenience wrappers -------------------------
     def task_started(self, task_id: str, attempt: int) -> None:
         self.append(TASK_STARTED, task_id=task_id, attempt=attempt)
 
     def task_finished(self, task_id: str, attempt: int,
-                      payload: Any) -> None:
+                      payload: dict) -> None:
+        """*payload* as a result file holds it (:func:`encode_payload`)."""
         self.append(TASK_FINISHED, task_id=task_id, attempt=attempt,
-                    payload=encode_payload(payload))
+                    payload=payload)
 
     def task_failed(self, task_id: str, attempts: int, reason: str) -> None:
         self.append(TASK_FAILED, task_id=task_id, attempts=attempts,
@@ -336,10 +358,16 @@ class RunJournal:
     def worker_joined(self, worker_id: str) -> None:
         self.append(WORKER_JOINED, worker_id=worker_id)
 
-    def lease_granted(self, task_id: str, worker_id: str,
-                      epoch: int) -> None:
-        self.append(LEASE_GRANTED, task_id=task_id, worker_id=worker_id,
-                    epoch=epoch)
+    def task_granted(self, task_id: str, worker_id: str, epoch: int,
+                     attempt: int) -> None:
+        """``lease_granted`` then ``task_started`` in one write and one
+        fsync: a crash keeps both, the first, or neither."""
+        t = round(time.time(), 3)
+        self._write(
+            encode_line({"kind": LEASE_GRANTED, "t": t, "task_id": task_id,
+                         "worker_id": worker_id, "epoch": epoch})
+            + encode_line({"kind": TASK_STARTED, "t": t, "task_id": task_id,
+                           "attempt": attempt}))
 
     def lease_revoked(self, task_id: str, worker_id: str, epoch: int,
                       reason: str) -> None:
@@ -359,11 +387,12 @@ class RunJournal:
             pass
 
     def close(self) -> None:
-        if self._fh is not None:
-            try:
-                self._fh.close()
-            finally:
-                self._fh = None
+        fh, self._fh = self._fh, None
+        fd, self._lock_fd = self._lock_fd, None
+        if fd is not None:
+            os.close(fd)
+        if fh is not None:
+            fh.close()
 
     def __enter__(self) -> "RunJournal":
         return self

@@ -1,16 +1,15 @@
 """Crash-consistent, filesystem-backed work queue: the suite executor.
 
-Every scheduled suite run — ``run_all(jobs > 1)``, or any ``run_id`` /
-``resume`` — goes through here. The coordinator
+Every suite run (every ``run_all``) goes through here. The coordinator
 (:class:`QueueCoordinator`, behind
 :func:`~repro.sched.suite.run_suite_parallel`) publishes the task graph
 and per-task *ready files* under ``<cache-root>/runs/<run-id>/queue/``
-and forks up to ``jobs`` local workers; worker agents on any host that
-can see the artifact-cache filesystem (:class:`QueueWorker`, behind
-``nvscavenger work``) may join. Workers claim tasks, run them against
-the shared cache, and publish results — all through ordinary files with
-the same durability discipline the cache itself uses (tmp + fsync +
-atomic rename).
+and forks up to ``jobs`` local workers (at ``jobs=1`` it runs each task
+itself); worker agents on any host that can see the artifact-cache
+filesystem (:class:`QueueWorker`, behind ``nvscavenger work``) may join.
+Workers claim tasks, run them against the shared cache, and publish
+results — all through ordinary files with the same durability
+discipline the cache itself uses (tmp + fsync + atomic rename).
 
 Layout under ``runs/<run-id>/queue/``::
 
@@ -23,45 +22,30 @@ Layout under ``runs/<run-id>/queue/``::
                              workers hold
     leases/<tid>.<e>.json    claim at epoch e: created with O_EXCL (the
                              atomic claim), rewritten by the holder's
-                             heartbeat thread (mtime = liveness)
+                             heartbeat (mtime = liveness)
     fence/<tid>              durable minimum-valid fencing epoch
     results/<tid>.<e>.json   the epoch-e attempt's outcome payload
     STOP                     coordinator tells workers to exit
 
-Lease protocol and the zombie problem:
-
-* **claim** — ``O_EXCL``-create the epoch-named lease file; exactly one
-  worker can win an epoch. The claim is validated against the fence
-  *after* it lands, so a claim racing a revocation loses even though
-  its ``O_EXCL`` succeeded. Workers try ready tasks in graph order, so
-  record tasks go before the experiments waiting on them.
-* **heartbeat** — the holder atomically rewrites its lease file every
-  ``heartbeat_s``; the coordinator treats a lease whose mtime is older
-  than ``lease_ttl_s`` as dead. A worker on the coordinator's own host
-  whose pid is gone is revoked immediately (no need to wait out the
-  TTL).
-* **revoke** — the coordinator bumps the task's fence file **before**
-  republishing the task at ``epoch + 1``. Ordering is the whole
-  protocol: once the fence moves, the old epoch's holder cannot take a
-  key lock, commit an artifact, or publish a result, *no matter when it
-  wakes up* — a SIGSTOPped zombie that thaws after its task was
-  reassigned and finished is refused at every write path with
-  :class:`~repro.errors.FencedOutError`. Revoking a local worker's
-  lease also terminates that process.
-* **retry** — a revoked or crashed attempt requeues with a
-  deterministic reseed (``seed + attempt * reseed_stride``; record
-  tasks never reseed because the spec *is* their cache key), and a task
-  out of retries dooms its transitive dependents
-  (:func:`skip_dependents`).
-* **resume** — a coordinator reusing a run directory first drops the
-  earlier run's STOP marker and ready files and moves each unfinished
-  task's fence past every epoch that run used, so the task restarts at
-  attempt 0 and any worker left over from the earlier run is fenced out.
+Lease protocol (docs/architecture.md §15 draws the state machine): a
+claim ``O_EXCL``-creates the epoch-named lease file and is checked
+against the task's fence after it lands (:meth:`WorkQueue.try_claim`);
+the holder's heartbeat rewrites it (mtime = liveness); a revocation
+bumps the fence durably *before* republishing at ``epoch + 1``, so the
+old holder — a SIGSTOPped zombie that thaws later included — is refused
+at every write path with :class:`~repro.errors.FencedOutError`
+(:meth:`QueueCoordinator._attempt_failed`); retries reseed
+deterministically, and a task out of retries dooms its dependents
+(:func:`skip_dependents`); a resume fences off every epoch the earlier
+run used (:meth:`QueueCoordinator._retire_earlier_run`).
 
 Local workers run **one task each** (a process keeps the memory of
 every task it has run): the coordinator forks one only when a published
 task is unclaimed, and sleeps on their process sentinels, so a finished
-task's dependents start without waiting out a poll.
+task's dependents start without waiting out a poll. At ``jobs=1`` it
+runs each task through :meth:`QueueWorker.run_claimed` against one
+shared context: no crash isolation, no timeout, and an interrupt
+abandons the task at once.
 
 Results stay bit-identical to a sequential ``jobs=1`` run under
 arbitrary worker SIGKILLs: workers coordinate through the
@@ -72,6 +56,7 @@ coordinator-accepted epoch's payload is used.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -119,6 +104,7 @@ from repro.sched.workers import (
     WorkerConfig,
     default_start_method,
     task_process_main,
+    worker_context,
 )
 from repro.trace.fsio import (
     OsFS,
@@ -150,6 +136,7 @@ DEFAULT_POLL_S = 0.25
 INTERRUPT_SIGNALS = (signal.SIGINT, signal.SIGTERM)
 
 
+@functools.lru_cache(maxsize=4096)  # every queue path of a task
 def safe_task_id(task_id: str) -> str:
     """A filesystem-safe, collision-free name for *task_id*.
 
@@ -215,32 +202,14 @@ class WorkQueue:
         self.run_id = run_id
         self.fs = fs if fs is not None else OsFS()
         self.root = os.path.join(run_dir(self.cache_root, run_id), QUEUE_DIR)
+        self.tasks_dir = os.path.join(self.root, TASKS_DIR)
+        self.leases_dir = os.path.join(self.root, LEASES_DIR)
+        self.fence_dir = os.path.join(self.root, FENCE_DIR)
+        self.results_dir = os.path.join(self.root, RESULTS_DIR)
+        self.manifest_path = os.path.join(self.root, MANIFEST_FILE)
+        self.stop_path = os.path.join(self.root, STOP_FILE)
 
     # -- paths ----------------------------------------------------------
-    @property
-    def tasks_dir(self) -> str:
-        return os.path.join(self.root, TASKS_DIR)
-
-    @property
-    def leases_dir(self) -> str:
-        return os.path.join(self.root, LEASES_DIR)
-
-    @property
-    def fence_dir(self) -> str:
-        return os.path.join(self.root, FENCE_DIR)
-
-    @property
-    def results_dir(self) -> str:
-        return os.path.join(self.root, RESULTS_DIR)
-
-    @property
-    def manifest_path(self) -> str:
-        return os.path.join(self.root, MANIFEST_FILE)
-
-    @property
-    def stop_path(self) -> str:
-        return os.path.join(self.root, STOP_FILE)
-
     def ready_path(self, task_id: str) -> str:
         return os.path.join(self.tasks_dir, safe_task_id(task_id) + ".json")
 
@@ -263,10 +232,10 @@ class WorkQueue:
     def init_dirs(self) -> None:
         # the whole new chain up to the cache root: without it a crash
         # could drop e.g. the results/ dir — and every durably-published
-        # result in it — in one stroke
-        for d in (self.tasks_dir, self.leases_dir, self.fence_dir,
-                  self.results_dir):
-            ensure_dir_chain(d, self.cache_root, self.fs)
+        # result in it — in one stroke; one chain covers all four
+        for d in (self.leases_dir, self.fence_dir, self.results_dir):
+            self.fs.makedirs(d)
+        ensure_dir_chain(self.tasks_dir, self.cache_root, self.fs)
 
     def write_manifest(self, payload: dict) -> None:
         self.init_dirs()
@@ -366,7 +335,7 @@ class WorkQueue:
             return None  # FileExistsError: epoch already claimed
         try:
             with fh:
-                json.dump(rec, fh, separators=(",", ":"))
+                fh.write(json.dumps(rec, separators=(",", ":")))
                 self.fs.fsync(fh)
             self.fs.fsync_dir(self.leases_dir)
         except OSError:
@@ -435,6 +404,7 @@ class QueueWorker:
         graph: TaskGraph | None = None,
         cfg: WorkerConfig | None = None,
         exp_fns: dict[str, Callable] | None = None,
+        ctx=None,
     ) -> None:
         self.queue = WorkQueue(cache_root, run_id)
         ttl = DEFAULT_LEASE_TTL_S
@@ -452,6 +422,8 @@ class QueueWorker:
         self.graph = graph
         self.cfg = cfg
         self.exp_fns = dict(exp_fns or {})
+        #: the context all tasks share (at jobs=1); None: one per task
+        self.ctx = ctx
         #: claim order: a task's position in the graph (records first)
         self._rank = {tid: i for i, tid in enumerate(graph.order)}
         self.worker_id = worker_id or (
@@ -498,16 +470,21 @@ class QueueWorker:
         cache, so every lock acquisition and artifact commit the task
         performs is validated against the fence — being revoked
         mid-flight surfaces as :class:`~repro.errors.FencedOutError`
-        and the worker publishes nothing.
+        and the worker publishes nothing. A ``KeyboardInterrupt``
+        abandons the task: it propagates, never an error result.
         """
         task_id, epoch = entry["task_id"], int(entry["epoch"])
         attempt = int(entry.get("attempt", 0))
         seed_offset = int(entry.get("seed_offset", 0))
         token = self.queue.token(task_id, epoch, owner=self.worker_id)
-        stop = threading.Event()
-        hb = threading.Thread(target=self._heartbeat_loop,
-                              args=(lease, stop), daemon=True)
-        hb.start()
+        # the coordinator's own lease (shared context) needs no heartbeat:
+        # it is the only judge of liveness and judges none while it runs
+        hb = stop = None
+        if self.ctx is None:
+            stop = threading.Event()
+            hb = threading.Thread(target=self._heartbeat_loop,
+                                  args=(lease, stop), daemon=True)
+            hb.start()
         t0 = time.perf_counter()
         status, payload, info = "ok", None, None
         try:
@@ -518,13 +495,15 @@ class QueueWorker:
                     f"graph has no such task")
             payload = task_process_main(
                 task_id, task, replace(self.cfg, fence=token), seed_offset,
-                self.exp_fns.get(getattr(task, "exp_id", "")))
+                self.exp_fns.get(getattr(task, "exp_id", "")), self.ctx)
             # the last line of defense: even a task that never touched
             # the cache must not publish a result for a revoked epoch
             token.check(f"result publish for task {task_id}")
         except FencedOutError:
             status = "fenced"
             self.fenced += 1
+        except KeyboardInterrupt:
+            raise
         except BaseException as exc:  # noqa: BLE001 — report, stay alive
             status = "error"
             tb = traceback.format_exc().strip().splitlines()
@@ -535,8 +514,9 @@ class QueueWorker:
                 "pid": os.getpid(),
             }
         finally:
-            stop.set()
-            hb.join(timeout=2.0)
+            if hb is not None:
+                stop.set()
+                hb.join(timeout=2.0)
         if status == "ok":
             self.queue.write_result(task_id, epoch, {
                 "task_id": task_id, "epoch": epoch, "attempt": attempt,
@@ -615,8 +595,9 @@ class QueueCoordinator:
     """Drives one suite run over the filesystem queue.
 
     Publishes the manifest and ready files, forks up to ``jobs`` local
-    one-task workers as tasks become claimable (``jobs=0``: remote
-    agents only), collects epoch-validated results, revokes stale leases
+    one-task workers as tasks become claimable (``jobs=1``: runs each
+    task itself; ``jobs=0``: remote agents only), collects
+    epoch-validated results, revokes stale leases
     (heartbeat older than ``lease_ttl_s``, dead local pid, or past
     ``task_timeout_s``), retries with a deterministic reseed, and skips
     the dependents of a task out of retries. *exp_fns* maps the id of an
@@ -682,6 +663,9 @@ class QueueCoordinator:
         self._workers: dict[str, multiprocessing.Process] = {}
         #: every worker id seen holding a lease or publishing a result
         self._claimed: set[str] = set()
+        #: at jobs=1, the worker running tasks in this process
+        self._here: QueueWorker | None = None
+        self._running_here = False
 
     # -- signal plumbing -------------------------------------------------
     def _on_signal(self, signum, frame) -> None:  # noqa: ARG002
@@ -689,6 +673,9 @@ class QueueCoordinator:
             self._signum = signum
         else:
             self._force = True  # second signal: skip the grace drain
+        if self._running_here:  # abandon the task running here, once
+            self._running_here = False
+            raise KeyboardInterrupt
 
     def _install_handlers(self) -> dict:
         """Install the drain handlers; returns what to restore."""
@@ -725,6 +712,43 @@ class QueueCoordinator:
             self._workers[wid] = proc
             if self.journal is not None:
                 self.journal.worker_joined(wid)
+
+    def _run_here(self, done: set, published: dict, log) -> bool:
+        """At ``jobs=1``: claim the first published, unclaimed task in
+        graph order and run it here; an interrupt abandons it (or, first,
+        starts nothing). Whether to go round again at once."""
+        if self._signum is not None:
+            return True
+        if self._here is None:
+            self._here = QueueWorker(
+                self.queue.cache_root, self.run_id,
+                worker_id=f"coordinator-{self.host}-{os.getpid()}",
+                graph=self.graph, cfg=self.cfg, exp_fns=self.exp_fns,
+                ctx=worker_context(self.cfg))
+        for tid in self.graph.order:
+            pub = published.get(tid)
+            if pub is None or pub["granted"] or tid in done:
+                continue
+            entry = {"task_id": tid, "epoch": pub["epoch"],
+                     "attempt": pub["attempt"],
+                     "seed_offset": self._seed_offset(tid, pub["attempt"])}
+            lease = self.queue.try_claim(entry, self._here.worker_id)
+            if lease is None:
+                continue  # a work agent holds it
+            self._grant(tid, pub, lease, log)
+            try:
+                self._running_here = True
+                if self._signum is not None:  # signalled while claiming
+                    raise KeyboardInterrupt
+                self._here.run_claimed(entry, lease)
+                self._running_here = False
+            except KeyboardInterrupt:
+                self._running_here = False
+                if self._signum is None:  # raised by the task itself
+                    self._signum = int(signal.SIGINT)
+                del published[tid]
+            return True
+        return False
 
     def _reap(self, exited: list, done: set, published: dict,
               attempts: dict, outcome, log) -> None:
@@ -838,8 +862,8 @@ class QueueCoordinator:
         log.emit(TASK_STARTED, tid, attempt=pub["attempt"],
                  pid=pub["pid"], detail=f"lease -> {pub['worker']}")
         if self.journal is not None:
-            self.journal.lease_granted(tid, pub["worker"], pub["epoch"])
-            self.journal.task_started(tid, pub["attempt"])
+            self.journal.task_granted(tid, pub["worker"], pub["epoch"],
+                                      pub["attempt"])
 
     def _observe_grants(self, done: set, published: dict, log) -> None:
         for tid, pub in published.items():
@@ -872,8 +896,9 @@ class QueueCoordinator:
                     f"{info.get('message', '')}",
                     done, published, attempts, outcome, log)
                 continue
+            encoded = rec.get("payload", {})
             try:
-                payload = decode_payload(rec.get("payload", {}))
+                payload = decode_payload(encoded)
             except Exception as exc:  # torn/garbled result: re-run
                 self._attempt_failed(
                     tid, f"undecodable result payload: {exc}",
@@ -890,7 +915,7 @@ class QueueCoordinator:
                      detail=(payload.get("error", "")
                              if isinstance(payload, dict) else ""))
             if self.journal is not None:
-                self.journal.task_finished(tid, pub["attempt"], payload)
+                self.journal.task_finished(tid, pub["attempt"], encoded)
 
     # -- revocation / retry ---------------------------------------------
     def _check_leases(self, done: set, published: dict, attempts: dict,
@@ -1027,8 +1052,10 @@ class QueueCoordinator:
         })
 
     def run(self) -> SchedulerOutcome:
+        earlier = os.path.isdir(self.queue.root)
         self.publish()
-        self._retire_earlier_run()
+        if earlier:
+            self._retire_earlier_run()
         mp_ctx = multiprocessing.get_context(default_start_method())
         log = EventLog(self.on_event)
         outcome = SchedulerOutcome()
@@ -1045,7 +1072,11 @@ class QueueCoordinator:
                     break
                 self._publish_ready(done, published, attempts, outcome, log)
                 self._check_stall(done, published)
-                self._fork_workers(mp_ctx, done, published)
+                if self.jobs == 1:
+                    if self._run_here(done, published, log):
+                        continue
+                else:
+                    self._fork_workers(mp_ctx, done, published)
                 self._wait()
             if self._signum is not None:
                 self._drain_on_interrupt(done, published, attempts,
@@ -1069,6 +1100,8 @@ class QueueCoordinator:
             n_resumed=len(self.seed_done),
             interrupted=self._signum is not None,
             signum=self._signum,
+            run_id=self.run_id,
+            cache_root=self.queue.cache_root,
             task_wall_s={
                 tid: float(p.get("wall_s", 0.0))
                 for tid, p in outcome.payloads.items()

@@ -1,19 +1,19 @@
 """Suite-level entry point: run the experiment suite over the work queue.
 
-:func:`run_suite_parallel` is what :func:`repro.experiments.runner.
-run_all` delegates to for ``jobs > 1`` (or any ``run_id`` / ``resume``).
-It expands the suite into a :class:`~repro.sched.graph.TaskGraph`
-(record tasks feeding experiment tasks), runs it on a
-:class:`~repro.sched.queue.QueueCoordinator` with up to ``jobs`` local
-one-task worker processes, folds every worker's engine-stage deltas
-back into the parent context's :class:`~repro.engine.engine.EngineStats`
-(in deterministic graph order), and returns results in the suite's
-canonical experiment order — so the output is bit-identical to a
-sequential run regardless of ``jobs`` or scheduling interleavings. Any
-such run can also be joined by ``nvscavenger work --run-id`` agents on
-other hosts sharing the cache.
+:func:`run_suite_parallel` is what every
+:func:`repro.experiments.runner.run_all` delegates to. It expands the
+suite into a :class:`~repro.sched.graph.TaskGraph` (record tasks
+feeding experiment tasks), runs it on a
+:class:`~repro.sched.queue.QueueCoordinator` — which at ``jobs=1`` runs
+each task itself and otherwise forks up to ``jobs`` one-task worker
+processes — folds every task's engine-stage deltas back into the parent
+context's :class:`~repro.engine.engine.EngineStats` (in deterministic
+graph order), and returns results in the suite's canonical experiment
+order — so the output is bit-identical regardless of ``jobs`` or
+scheduling interleavings. Any run can also be joined by ``nvscavenger
+work --run-id`` agents on other hosts sharing the cache.
 
-Every scheduled run is **journaled and resumable**: task
+Every run is **journaled and resumable**: task
 transitions and completed payloads land in an fsync'd write-ahead log
 under ``<cache-root>/runs/<run-id>/journal.jsonl`` (see
 :mod:`repro.sched.journal`). ``resume="<run-id>"`` replays that journal
@@ -21,8 +21,10 @@ under ``<cache-root>/runs/<run-id>/journal.jsonl`` (see
 to resume — and launches only the tasks that never finished; the
 already-journaled results come back exactly as the interrupted run
 produced them. SIGINT/SIGTERM trigger a graceful drain (grace period,
-then terminate→kill) and surface as
-:class:`~repro.errors.SuiteInterrupted` carrying the run id to resume.
+then terminate→kill; at ``jobs=1`` the running task is abandoned at
+once) and surface as :class:`~repro.errors.SuiteInterrupted` carrying
+the run id to resume — or, on a temporary cache root that is removed at
+exit with the journal, saying that the run cannot be resumed.
 """
 
 from __future__ import annotations
@@ -162,7 +164,8 @@ def run_suite_parallel(
     lease_ttl_s: float | None = None,
     heartbeat_s: float | None = None,
 ) -> tuple[list, SchedulerReport]:
-    """Run *exps* against *ctx* on up to ``jobs`` worker processes.
+    """Run *exps* against *ctx*: at ``jobs=1`` in this process, else on
+    up to ``jobs`` worker processes.
 
     Returns ``(results, report)``: *results* in the canonical
     ``exps.items()`` order (each an ``ExperimentResult`` or
@@ -173,11 +176,13 @@ def run_suite_parallel(
 
     The run publishes its tasks to the filesystem work queue under
     ``<cache-root>/runs/<run-id>/queue/`` (:mod:`repro.sched.queue`);
-    the coordinator forks one local worker per claimable task, at most
-    ``jobs`` at a time, and ``nvscavenger work`` agents on other hosts
-    may join. Registry experiments cross hosts by id; other callables
-    reach only the local workers (inherited at fork, pickled under
-    spawn). ``lease_ttl_s`` / ``heartbeat_s`` tune crash detection.
+    at ``jobs=1`` the coordinator runs each task itself (no crash
+    isolation, no ``task_timeout_s``), otherwise it forks one local
+    worker per claimable task, at most ``jobs`` at a time;
+    ``nvscavenger work`` agents on other hosts may join. Registry
+    experiments cross hosts by id; other callables reach only the local
+    workers (inherited at fork, pickled under spawn). ``lease_ttl_s`` /
+    ``heartbeat_s`` tune crash detection.
 
     ``run_id`` names this run's journal and queue under the
     artifact-cache root (default: a fresh timestamped id); ``resume``
@@ -185,11 +190,13 @@ def run_suite_parallel(
     seeded as done (their journaled payloads are returned verbatim),
     failed and skipped tasks get a fresh chance, and the graph
     fingerprint must match or :class:`~repro.errors.JournalError`
-    refuses the resume. ``handle_signals``
-    (default on, main thread only) arms the graceful SIGINT/SIGTERM
-    drain: tasks in flight get ``drain_grace_s`` seconds to finish and
-    journal, then the run raises :class:`~repro.errors.SuiteInterrupted`
-    whose ``exit_code`` is ``128 + signum``.
+    refuses the resume. ``handle_signals`` (default on, main thread
+    only) arms the graceful SIGINT/SIGTERM drain: tasks in flight get
+    ``drain_grace_s`` seconds to finish and journal (at ``jobs=1`` the
+    running task is abandoned at once), then the run raises
+    :class:`~repro.errors.SuiteInterrupted` whose ``exit_code`` is
+    ``128 + signum``. ``strict`` raises for the first failed experiment
+    once every task has finished.
 
     ``jobs=0`` means one worker per CPU, clamped to the graph's useful
     width.
@@ -268,7 +275,6 @@ def run_suite_parallel(
 
     assert outcome.report is not None
     report = outcome.report
-    report.run_id = run_id
 
     # Fold worker engine deltas into the parent in deterministic graph
     # order so the suite-level accounting is jobs-independent (resumed
@@ -287,7 +293,7 @@ def run_suite_parallel(
         raise SuiteInterrupted(
             f"suite interrupted by signal {signum} after "
             f"{n_done}/{len(graph.experiment_tasks)} experiment(s); "
-            f"resume with --resume {run_id}",
+            f"{report.resume_hint()}",
             signum=signum, run_id=run_id, report=report, completed=n_done,
         )
     jnl.run_finished(n_failed=report.n_failed,

@@ -10,8 +10,9 @@ process start, but the same code runs unchanged under ``spawn``
 possible so the callable itself never has to cross the boundary.
 
 Workers coordinate exclusively through the shared on-disk
-:class:`~repro.engine.artifacts.ArtifactCache`: each opens its own
-:class:`~repro.engine.PipelineEngine` on ``cache_root``, and the cache's
+:class:`~repro.engine.artifacts.ArtifactCache`: each task opens its own
+:class:`~repro.engine.PipelineEngine` on ``cache_root`` (the coordinator
+running tasks itself at ``jobs=1`` keeps one across them), and the cache's
 per-key ``flock`` guarantees a spec is executed once cluster-wide — a
 worker losing the record race simply replays the winner's artifact.
 """
@@ -85,7 +86,10 @@ def _apply_cache_hooks(cache, cfg: WorkerConfig) -> None:
         cache.fence = cfg.fence
 
 
-def _worker_context(cfg: WorkerConfig, seed_offset: int = 0):
+def worker_context(cfg: WorkerConfig, seed_offset: int = 0,
+                   engine: PipelineEngine | None = None):
+    """*cfg*'s context, seeded ``seed_offset`` past the suite seed; on
+    *engine*, or a new one with *cfg*'s cache hooks installed."""
     from repro.experiments.common import ExperimentContext
 
     ctx = ExperimentContext(
@@ -94,24 +98,20 @@ def _worker_context(cfg: WorkerConfig, seed_offset: int = 0):
         n_iterations=cfg.n_iterations,
         seed=cfg.seed + seed_offset,
         apps=cfg.apps,
+        engine=engine,
         cache_dir=cfg.cache_root,
         self_heal=cfg.self_heal,
     )
-    _apply_cache_hooks(ctx.engine.cache, cfg)
+    if engine is None:
+        _apply_cache_hooks(ctx.engine.cache, cfg)
     return ctx
 
 
-def run_record_task(spec: RunSpec, cfg: WorkerConfig) -> dict:
+def run_record_task(spec: RunSpec, engine: PipelineEngine) -> dict:
     """Record *spec* into the shared cache (idempotent: a loser of the
     cross-process race gets the winner's artifact as a cache hit).
-
-    Failures are deferred, exactly like
-    :meth:`~repro.experiments.common.ExperimentContext.prefetch`: the
-    error is reported in the payload, and the experiment that actually
-    needs the artifact will surface it under harness isolation.
-    """
-    engine = PipelineEngine(root=cfg.cache_root, self_heal=cfg.self_heal)
-    _apply_cache_hooks(engine.cache, cfg)
+    Failures are deferred to the payload; the experiment that needs the
+    artifact surfaces them under harness isolation."""
     before = engine.stats.snapshot()
     t0 = time.perf_counter()
     error = ""
@@ -132,25 +132,17 @@ def run_record_task(spec: RunSpec, cfg: WorkerConfig) -> dict:
     }
 
 
-def run_experiment_task(
-    exp_id: str,
-    fn: Callable | None,
-    cfg: WorkerConfig,
-    seed_offset: int = 0,
-) -> dict:
-    """Run one experiment in a fresh context against the shared cache.
+def run_experiment_task(exp_id: str, fn: Callable | None, ctx,
+                        cfg: WorkerConfig) -> dict:
+    """Run one experiment against *ctx* under the harness.
 
     ``fn=None`` resolves the callable from the experiment registry by id
-    (the spawn-safe path). ``seed_offset`` is non-zero only when the
-    coordinator re-runs the task after a worker crash/timeout — the same
-    deterministic reseed :class:`HardenedRunner` applies to in-process
-    retries, so a re-scheduled experiment is reproducible, never random.
+    (the spawn-safe path).
     """
     if fn is None:
         from repro.experiments.runner import EXPERIMENTS
 
         fn = EXPERIMENTS[exp_id]
-    ctx = _worker_context(cfg, seed_offset)
     runner = HardenedRunner(
         retry=RetryPolicy(retries=cfg.retries, reseed_stride=cfg.reseed_stride),
         budget=(ExperimentBudget(wall_s=cfg.budget_s)
@@ -168,16 +160,25 @@ def run_experiment_task(
 
 
 def task_process_main(task_id: str, task: Task, cfg: WorkerConfig,
-                      seed_offset: int = 0, fn: Callable | None = None) -> dict:
+                      seed_offset: int = 0, fn: Callable | None = None,
+                      ctx=None) -> dict:
     """Run one claimed task in this process and return its payload.
 
-    Every task a queue worker claims — in a coordinator-forked local
-    worker or in an ``nvscavenger work`` agent — runs through here.
-    *task_id* comes first so a tracer wrapping this function can tag the
-    worker's spans with it. Record tasks never reseed (the spec *is*
-    the cache key); *fn* is an experiment callable the coordinator
-    handed its local workers, or None to resolve it from the registry.
+    Every task a queue worker claims runs through here. *task_id* comes
+    first so a tracer wrapping this function can tag the worker's spans
+    with it. *ctx* is the context shared by the tasks the coordinator
+    runs itself at ``jobs=1`` (``cfg.fence`` goes on its cache first);
+    None builds a fresh one from *cfg*. A non-zero ``seed_offset`` (a
+    retry) reseeds the experiment's context, as :class:`HardenedRunner`
+    does. *fn* is an experiment callable the coordinator handed its
+    local workers, or None to resolve it from the registry.
     """
+    if ctx is None:
+        ctx = worker_context(cfg, seed_offset)
+    else:
+        ctx.engine.cache.fence = cfg.fence
+        if seed_offset:
+            ctx = worker_context(cfg, seed_offset, engine=ctx.engine)
     if isinstance(task, RecordTask):
-        return run_record_task(task.spec, cfg)
-    return run_experiment_task(task.exp_id, fn, cfg, seed_offset)
+        return run_record_task(task.spec, ctx.engine)
+    return run_experiment_task(task.exp_id, fn, ctx, cfg)

@@ -47,6 +47,7 @@ from repro.sched.graph import (
 )
 from repro.sched.journal import (
     RunJournal,
+    encode_payload,
     journal_path,
     read_journal,
     replay_state,
@@ -546,7 +547,8 @@ class TestQueueResume:
             jnl.append("run_started", run_id="cut",
                        fingerprint=graph.fingerprint(), jobs=1)
             jnl.task_started("exp:first", 0)
-            jnl.task_finished("exp:first", 0, fresh.payloads["exp:first"])
+            jnl.task_finished("exp:first", 0,
+                              encode_payload(fresh.payloads["exp:first"]))
             jnl.task_started("exp:probe", 0)
             jnl.run_interrupted(int(signal.SIGTERM))
         cut = coordinator("cut")

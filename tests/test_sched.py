@@ -181,38 +181,47 @@ class TestResolveJobs:
 SUBSET = ("table1", "fig2", "fig7", "capacity")
 
 
+def run_directly(ctx, exps):
+    """The reference a suite run is held to: each experiment called on
+    one context, in order — no task graph, payload round trip or stats
+    merge."""
+    return [fn(ctx) for fn in exps.values()]
+
+
 class TestParallelSuite:
     def test_jobs2_bit_identical_to_sequential(self, tmp_path):
         exps = {k: EXPERIMENTS[k] for k in SUBSET}
-        seq_ctx = make_ctx(tmp_path / "seq")
-        seq = run_all(seq_ctx, experiments=exps)
-        par_ctx = make_ctx(tmp_path / "par")
-        events = []
-        par = run_all(par_ctx, experiments=exps, jobs=2,
-                      on_sched_event=events.append)
-        assert [r.exp_id for r in seq] == [r.exp_id for r in par]
-        for a, b in zip(seq, par):
-            assert isinstance(b, ExperimentResult)
-            assert a.text == b.text
-            assert a.rows == b.rows
-            assert a.notes == b.notes
-        # each distinct spec executed exactly once across the pool
-        assert par_ctx.engine.stats.app_runs == seq_ctx.engine.stats.app_runs
-        # the event stream saw every task start and finish
-        kinds = [ev.kind for ev in events]
-        assert kinds.count(TASK_STARTED) == kinds.count(TASK_FINISHED)
-        assert kinds.count(TASK_FINISHED) >= len(SUBSET)
+        ref_ctx = make_ctx(tmp_path / "ref")
+        ref = run_directly(ref_ctx, exps)
+        for jobs in (1, 2):
+            ctx = make_ctx(tmp_path / f"jobs{jobs}")
+            events = []
+            got = run_all(ctx, experiments=exps, jobs=jobs,
+                          on_sched_event=events.append)
+            assert [r.exp_id for r in got] == list(exps)
+            for a, b in zip(ref, got):
+                assert isinstance(b, ExperimentResult)
+                assert a.text == b.text
+                assert a.rows == b.rows
+                assert a.notes == b.notes
+            # each distinct spec executed exactly once, for any jobs
+            assert ctx.engine.stats.app_runs == ref_ctx.engine.stats.app_runs
+            # the event stream saw every task start and finish
+            kinds = [ev.kind for ev in events]
+            assert kinds.count(TASK_STARTED) == kinds.count(TASK_FINISHED)
+            assert kinds.count(TASK_FINISHED) >= len(SUBSET)
 
     def test_full_suite_bit_identical_within_bound(self, tmp_path):
-        seq_ctx = make_ctx(tmp_path / "seq")
-        seq = run_all(seq_ctx)
-        par_ctx = make_ctx(tmp_path / "par")
-        par = run_bounded(lambda: run_all(par_ctx, jobs=2), 120.0)
-        assert [r.exp_id for r in par] == list(EXPERIMENTS)
-        for a, b in zip(seq, par):
-            assert isinstance(b, ExperimentResult), b
-            assert (a.text, a.rows, a.notes) == (b.text, b.rows, b.notes)
-        assert par_ctx.engine.stats.app_runs == seq_ctx.engine.stats.app_runs
+        ref_ctx = make_ctx(tmp_path / "ref")
+        ref = run_directly(ref_ctx, EXPERIMENTS)
+        for jobs in (1, 2):
+            ctx = make_ctx(tmp_path / f"jobs{jobs}")
+            got = run_bounded(lambda: run_all(ctx, jobs=jobs), 120.0)
+            assert [r.exp_id for r in got] == list(EXPERIMENTS)
+            for a, b in zip(ref, got):
+                assert isinstance(b, ExperimentResult), b
+                assert (a.text, a.rows, a.notes) == (b.text, b.rows, b.notes)
+            assert ctx.engine.stats.app_runs == ref_ctx.engine.stats.app_runs
 
     def test_report_accounts_for_every_task(self, tmp_path):
         exps = {"table1": EXPERIMENTS["table1"]}
@@ -247,11 +256,13 @@ def _always_crash(ctx):
 
 
 class TestWorkerFailure:
+    # a task that kills or hangs its process is isolated only in a
+    # forked worker (jobs >= 2): at jobs=1 it runs in the coordinator
     def test_killed_worker_is_retried_with_reseed(self, tmp_path):
         ctx = make_ctx(tmp_path, apps=("gtc",))
         events = []
         results, report = run_suite_parallel(
-            ctx, {"crashy": _crash_first_attempt}, jobs=1,
+            ctx, {"crashy": _crash_first_attempt}, jobs=2,
             on_event=events.append)
         (res,) = results
         assert isinstance(res, ExperimentResult)
@@ -263,7 +274,7 @@ class TestWorkerFailure:
     def test_exhausted_retries_become_structured_failure(self, tmp_path):
         ctx = make_ctx(tmp_path, apps=("gtc",))
         results, report = run_suite_parallel(
-            ctx, {"doomed": _always_crash}, jobs=1)
+            ctx, {"doomed": _always_crash}, jobs=2)
         (res,) = results
         assert isinstance(res, ExperimentFailure)
         assert res.exp_id == "doomed"
@@ -275,7 +286,7 @@ class TestWorkerFailure:
         ctx = make_ctx(tmp_path, apps=("gtc",))
         t0 = time.monotonic()
         results, report = run_suite_parallel(
-            ctx, {"hung": _hang_forever}, jobs=1, task_timeout_s=1.0)
+            ctx, {"hung": _hang_forever}, jobs=2, task_timeout_s=1.0)
         assert time.monotonic() - t0 < 60
         (res,) = results
         assert isinstance(res, ExperimentFailure)
@@ -285,7 +296,7 @@ class TestWorkerFailure:
     def test_strict_mode_raises_on_worker_failure(self, tmp_path):
         ctx = make_ctx(tmp_path, apps=("gtc",))
         with pytest.raises(ExperimentAbortedError, match="doomed"):
-            run_suite_parallel(ctx, {"doomed": _always_crash}, jobs=1,
+            run_suite_parallel(ctx, {"doomed": _always_crash}, jobs=2,
                                strict=True)
 
     def test_in_experiment_exception_is_isolated(self, tmp_path):

@@ -9,13 +9,14 @@ The contract under test:
 * ``run_suite_parallel(resume=run_id)`` re-executes **zero** tasks that
   the journal records as finished, and the resumed results are
   bit-identical to an uninterrupted run — verified end-to-end with a
-  real SIGTERM delivered to a ``jobs=2`` subprocess mid-suite;
+  real SIGTERM delivered to a ``jobs=1`` and a ``jobs=2`` subprocess
+  mid-suite;
 * a resume against a *changed* suite (different graph fingerprint) is
   refused with :class:`JournalError` instead of silently mixing runs;
 * a task that exhausts its retries dooms its transitive dependents:
   they are journaled/reported as ``task_skipped`` with the root-cause
   task id and never launched;
-* ``KeyboardInterrupt`` aborts the sequential suite cleanly
+* ``KeyboardInterrupt`` aborts a ``jobs=1`` suite cleanly
   (:class:`SuiteInterrupted`, exit code 130) instead of being retried
   or swallowed into a failure row, and the CLI maps interruption and
   journal/usage errors to the documented exit codes.
@@ -93,17 +94,31 @@ class TestJournalFormat:
         with RunJournal.open(str(tmp_path), "r1") as jnl:
             jnl.append(jn.RUN_STARTED, run_id="r1", fingerprint="f")
             jnl.task_started("record:x", 0)
-            jnl.task_finished("record:x", 0, {"wall_s": 1.0})
+            jnl.task_finished("record:x", 0, encode_payload({"wall_s": 1.0}))
         state = read_journal(journal_path(str(tmp_path), "r1"))
         assert not state.torn
         assert state.kinds() == [
             jn.RUN_STARTED, jn.TASK_STARTED, jn.TASK_FINISHED]
 
+    def test_grant_is_two_records_one_fsync(self, tmp_path, monkeypatch):
+        with RunJournal.open(str(tmp_path), "r1") as jnl:
+            jnl.append(jn.RUN_STARTED, run_id="r1", fingerprint="f")
+            synced = []
+            monkeypatch.setattr(jnl._fs, "fsync", synced.append)
+            jnl.task_granted("exp:a", "w1", epoch=2, attempt=1)
+        assert len(synced) == 1
+        granted, started = read_journal(
+            journal_path(str(tmp_path), "r1")).records[1:]
+        assert (granted["kind"], granted["task_id"], granted["worker_id"],
+                granted["epoch"]) == (jn.LEASE_GRANTED, "exp:a", "w1", 2)
+        assert (started["kind"], started["task_id"], started["attempt"]) == (
+            jn.TASK_STARTED, "exp:a", 1)
+
     def test_torn_final_line_is_truncated_not_fatal(self, tmp_path):
         path = journal_path(str(tmp_path), "r1")
         with RunJournal.open(str(tmp_path), "r1") as jnl:
             jnl.append(jn.RUN_STARTED, run_id="r1", fingerprint="f")
-            jnl.task_finished("record:x", 0, {"wall_s": 1.0})
+            jnl.task_finished("record:x", 0, encode_payload({"wall_s": 1.0}))
         good = os.path.getsize(path)
         with open(path, "ab") as fh:  # a torn append: no trailing newline
             fh.write(b'{"crc32": 1, "rec": {"kind": "task_fin')
@@ -124,8 +139,8 @@ class TestJournalFormat:
         path = journal_path(str(tmp_path), "r1")
         with RunJournal.open(str(tmp_path), "r1") as jnl:
             jnl.append(jn.RUN_STARTED, run_id="r1", fingerprint="f")
-            jnl.task_finished("record:x", 0, {"wall_s": 1.0})
-            jnl.task_finished("exp:a", 0, {"wall_s": 2.0})
+            jnl.task_finished("record:x", 0, encode_payload({"wall_s": 1.0}))
+            jnl.task_finished("exp:a", 0, encode_payload({"wall_s": 2.0}))
         lines = open(path, "rb").read().splitlines(keepends=True)
         corrupt = lines[1].replace(b"record:x", b"recorc:x")
         with open(path, "wb") as fh:
@@ -138,7 +153,7 @@ class TestJournalFormat:
     def test_replay_seeds_only_finished_tasks(self, tmp_path):
         with RunJournal.open(str(tmp_path), "r1") as jnl:
             jnl.append(jn.RUN_STARTED, run_id="r1", fingerprint="fp")
-            jnl.task_finished("record:x", 0, {"wall_s": 1.0})
+            jnl.task_finished("record:x", 0, encode_payload({"wall_s": 1.0}))
             jnl.task_failed("record:y", 2, "worker died")
             jnl.task_skipped("exp:b", "record:y", "worker died")
             jnl.task_started("exp:a", 0)  # started but never finished
@@ -154,7 +169,7 @@ class TestJournalFormat:
         with RunJournal.open(str(tmp_path), "r1") as jnl:
             jnl.append(jn.RUN_STARTED, run_id="r1", fingerprint="fp")
             jnl.task_failed("record:x", 2, "flaky")
-            jnl.task_finished("record:x", 0, {"wall_s": 1.0})
+            jnl.task_finished("record:x", 0, encode_payload({"wall_s": 1.0}))
         rs = replay_state(read_journal(journal_path(str(tmp_path), "r1")), "r1")
         assert rs.done == {"record:x"} and rs.failed == set()
 
@@ -205,11 +220,12 @@ class TestStallDiagnostics:
 # ----------------------------------------------------------------------
 @needs_fork
 class TestResume:
-    def test_resume_reexecutes_nothing_and_matches(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_resume_reexecutes_nothing_and_matches(self, tmp_path, jobs):
         exps = {"table1": EXPERIMENTS["table1"]}
         ctx = make_ctx(tmp_path, apps=("gtc",))
         first, rep1 = run_suite_parallel(
-            ctx, exps, jobs=2, run_id="t1", handle_signals=False)
+            ctx, exps, jobs=jobs, run_id="t1", handle_signals=False)
         cache_root = ctx.engine.cache.root
         state = read_journal(journal_path(cache_root, "t1"))
         assert state.kinds()[0] == jn.RUN_STARTED
@@ -218,7 +234,7 @@ class TestResume:
 
         ctx2 = make_ctx(tmp_path, apps=("gtc",))  # same cache root
         second, rep2 = run_suite_parallel(
-            ctx2, exps, jobs=2, resume="t1", handle_signals=False)
+            ctx2, exps, jobs=jobs, resume="t1", handle_signals=False)
         assert rep2.n_resumed == rep2.n_tasks  # everything seeded
         (a,), (b,) = first, second
         assert isinstance(b, ExperimentResult)
@@ -229,6 +245,18 @@ class TestResume:
         tail = kinds[kinds.index(jn.RUN_RESUMED):]
         assert jn.TASK_STARTED not in tail
         assert tail[-1] == jn.RUN_FINISHED
+
+    def test_default_run_journals_without_forking(self, tmp_path):
+        ctx = make_ctx(tmp_path, apps=("gtc",))
+        (res,) = run_all(ctx, experiments={"table1": EXPERIMENTS["table1"]})
+        assert isinstance(res, ExperimentResult)
+        assert multiprocessing.active_children() == []
+        runs = os.listdir(os.path.join(ctx.engine.cache.root, "runs"))
+        assert len(runs) == 1
+        kinds = read_journal(
+            journal_path(ctx.engine.cache.root, runs[0])).kinds()
+        assert kinds[0] == jn.RUN_STARTED and kinds[-1] == jn.RUN_FINISHED
+        assert jn.WORKER_JOINED not in kinds
 
     def test_changed_suite_refuses_to_resume(self, tmp_path):
         ctx = make_ctx(tmp_path, apps=("gtc",))
@@ -257,8 +285,9 @@ class TestSkipPropagation:
             return ExperimentResult(exp_id="anon", title="a", text="never")
 
         ctx = make_ctx(tmp_path, apps=("gtc",))
+        # jobs=2: only a forked worker survives a record that kills it
         results, report = run_suite_parallel(
-            ctx, {"anon": anonymous}, jobs=1, run_id="t1",
+            ctx, {"anon": anonymous}, jobs=2, run_id="t1",
             handle_signals=False)
         (res,) = results
         assert isinstance(res, ExperimentFailure)
@@ -303,6 +332,57 @@ class TestKeyboardInterrupt:
         # aborted on the spot: no harness retry, no later experiments
         assert calls == ["first", "boom"]
 
+    def test_signal_between_tasks_starts_no_other(self, tmp_path,
+                                                  monkeypatch):
+        calls = []
+
+        def first(ctx):
+            calls.append("first")
+            return ExperimentResult(exp_id="first", title="f", text="ok")
+
+        def second(ctx):
+            calls.append("second")
+            return ExperimentResult(exp_id="second", title="s", text="ok")
+
+        publish_ready = QueueCoordinator._publish_ready
+
+        def signalled(self, done, *args):
+            # exp:second is already published: the SIGTERM lands while
+            # the coordinator runs no task, before it claims the next
+            if "exp:first" in done and not self._signum:
+                os.kill(os.getpid(), signal.SIGTERM)
+            return publish_ready(self, done, *args)
+
+        monkeypatch.setattr(QueueCoordinator, "_publish_ready", signalled)
+        ctx = make_ctx(tmp_path, apps=("gtc",))
+        with pytest.raises(SuiteInterrupted) as ei:
+            run_all(ctx, experiments={"first": first, "second": second},
+                    run_id="sig")
+        assert ei.value.exit_code == 143 and ei.value.completed == 1
+        assert calls == ["first"]
+        state = read_journal(journal_path(ctx.engine.cache.root, "sig"))
+        started = [r["task_id"] for r in state.records
+                   if r["kind"] == jn.TASK_STARTED]
+        assert "exp:second" not in started
+        assert state.kinds()[-1] == jn.RUN_INTERRUPTED
+
+    @pytest.mark.parametrize("persistent", [True, False])
+    def test_resume_hint_only_where_the_journal_survives(
+            self, tmp_path, monkeypatch, persistent):
+        def boom(ctx):
+            raise KeyboardInterrupt
+
+        monkeypatch.delenv("NVSCAVENGER_CACHE", raising=False)
+        kw = dict(cache_dir=str(tmp_path / "cache")) if persistent else {}
+        ctx = ExperimentContext(**{**FAST, **kw}, apps=("gtc",))
+        with pytest.raises(SuiteInterrupted) as ei:
+            run_all(ctx, experiments={"boom": boom}, run_id="hint")
+        msg = str(ei.value)
+        assert ei.value.run_id == "hint" and ei.value.exit_code == 130
+        assert ("resume with --resume hint" in msg) == persistent
+        assert ("cannot be resumed" in msg) == (not persistent)
+        assert ("--cache-dir" in msg) == (not persistent)
+
     def test_cli_maps_interruption_to_exit_code(self, monkeypatch, capsys):
         def interrupted(*args, **kwargs):
             raise SuiteInterrupted("killed mid-suite",
@@ -339,7 +419,7 @@ _SUITE_SCRIPT = textwrap.dedent("""\
     from repro.experiments.common import ExperimentContext, ExperimentResult
     from repro.experiments.runner import run_all
 
-    mode, cache, out = sys.argv[1], sys.argv[2], sys.argv[3]
+    mode, cache, out, jobs = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
 
     def quick_a(ctx):
         return ExperimentResult(exp_id="quick_a", title="a",
@@ -365,9 +445,9 @@ _SUITE_SCRIPT = textwrap.dedent("""\
                             cache_dir=cache)
     kwargs = {}
     if mode == "run":
-        kwargs = dict(jobs=2, run_id="r1", drain_grace_s=1.0)
+        kwargs = dict(jobs=jobs, run_id="r1", drain_grace_s=1.0)
     elif mode == "resume":
-        kwargs = dict(jobs=2, resume="r1", drain_grace_s=1.0)
+        kwargs = dict(jobs=jobs, resume="r1", drain_grace_s=1.0)
     try:
         results = run_all(ctx, experiments=EXPS, **kwargs)
     except SuiteInterrupted as exc:
@@ -381,9 +461,11 @@ _SUITE_SCRIPT = textwrap.dedent("""\
 
 @needs_fork
 class TestRealSignalRecovery:
-    """SIGTERM a jobs=2 suite mid-run, resume it, compare to jobs=1."""
+    """SIGTERM a suite mid-run, resume it, compare to an uninterrupted
+    run."""
 
-    def _run(self, script, mode, cache, out, block=False, wait_s=120.0):
+    def _run(self, script, mode, cache, out, block=False, wait_s=120.0,
+             jobs=1):
         env = dict(os.environ)
         src = os.path.dirname(os.path.dirname(os.path.abspath(
             repro.__file__)))
@@ -392,9 +474,11 @@ class TestRealSignalRecovery:
         if block:
             env["RESUME_TEST_BLOCK"] = "1"
         return subprocess.Popen(
-            [sys.executable, script, mode, cache, out], env=env), wait_s
+            [sys.executable, script, mode, cache, out, str(jobs)],
+            env=env), wait_s
 
-    def test_sigterm_resume_bit_identical(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sigterm_resume_bit_identical(self, tmp_path, jobs):
         script = str(tmp_path / "suite.py")
         with open(script, "w") as fh:
             fh.write(_SUITE_SCRIPT)
@@ -402,10 +486,11 @@ class TestRealSignalRecovery:
         os.makedirs(cache, exist_ok=True)
         out = str(tmp_path / "resumed.pkl")
 
-        # phase 1: start jobs=2, wait for the long task to be in
+        # phase 1: start the run, wait for the long task to be in
         # flight (everything quick has been journaled by then or will
         # finish inside the drain grace), then SIGTERM the suite
-        proc, wait_s = self._run(script, "run", cache, out, block=True)
+        proc, wait_s = self._run(script, "run", cache, out, block=True,
+                                 jobs=jobs)
         sentinel = os.path.join(cache, "gated-started")
         deadline = time.monotonic() + 90.0
         while not os.path.exists(sentinel):
@@ -435,7 +520,7 @@ class TestRealSignalRecovery:
             fh.write(b'{"crc32": 99, "rec": {"kind": "task_')
 
         # phase 2: resume — only unfinished tasks may launch
-        proc, wait_s = self._run(script, "resume", cache, out)
+        proc, wait_s = self._run(script, "resume", cache, out, jobs=jobs)
         assert proc.wait(timeout=wait_s) == 0
         state = read_journal(jpath)
         assert not state.torn  # reopen truncated the garbage
@@ -449,8 +534,8 @@ class TestRealSignalRecovery:
             f"{sorted(set(restarted) & set(finished))}")
         assert kinds[-1] == jn.RUN_FINISHED
 
-        # phase 3: an uninterrupted sequential run in a fresh cache
-        # must be bit-identical to interrupted-then-resumed jobs=2
+        # phase 3: an uninterrupted default run in a fresh cache must be
+        # bit-identical to the interrupted-then-resumed one
         seq_out = str(tmp_path / "seq.pkl")
         proc, wait_s = self._run(
             script, "seq", str(tmp_path / "cache-seq"), seq_out)

@@ -1,9 +1,9 @@
 """Work-queue soak: SIGKILL workers mid-record under ChaosFS flips.
 
 The property under test is the queue's headline guarantee: a suite run
-over the filesystem work queue produces results **bit-identical** to a
-sequential ``jobs=1`` run, no matter which workers die, when, or how
-rudely — because
+over the filesystem work queue produces results **bit-identical** to
+each experiment called directly, no matter which workers die, when, or
+how rudely — because
 
 * record tasks never reseed (the spec *is* the cache key) and commit
   through the cache's atomic meta.json protocol, so a re-run after a
@@ -14,8 +14,8 @@ rudely — because
 
 The soak:
 
-1. runs the subset sequentially (``jobs=1``, in-process) into a fresh
-   cache — the baseline;
+1. calls each experiment of the subset directly against one context
+   (no work queue, no journal) into a fresh cache — the baseline;
 2. runs the same subset over the work queue with up to ``--workers``
    local worker processes, each recording through a ChaosFS that flips
    a bit in its first committed trace container (``io-queue-soak``) —
@@ -136,12 +136,12 @@ def main(argv: list[str] | None = None) -> int:
     print(f"queue-soak: scratch {scratch}")
     exps = {k: EXPERIMENTS[k] for k in SUBSET}
 
-    # -- 1. sequential baseline ----------------------------------------
+    # -- 1. direct baseline --------------------------------------------
     t0 = time.monotonic()
     base_ctx = ExperimentContext(cache_dir=os.path.join(scratch, "base"),
                                  seed=args.seed, **FAST)
     baseline = [fn(base_ctx) for fn in exps.values()]
-    print(f"queue-soak: baseline jobs=1 in {time.monotonic() - t0:.1f}s")
+    print(f"queue-soak: baseline in {time.monotonic() - t0:.1f}s")
 
     # -- 2+3. queue run with chaos + killer ----------------------------
     cache_root = os.path.join(scratch, "queue")
@@ -198,15 +198,15 @@ def main(argv: list[str] | None = None) -> int:
         got = payload["result"]
         for field in ("text", "rows"):
             if getattr(got, field) != getattr(want, field):
-                fail(f"{exp_id}.{field} diverged from the jobs=1 baseline")
+                fail(f"{exp_id}.{field} diverged from the baseline")
         # "resilience: …" notes annotate self-healed corruption (the
         # ChaosFS flips we injected on purpose); the *data* above is
         # what must be bit-identical
         notes = [n for n in got.notes if not n.startswith("resilience:")]
         if notes != want.notes:
-            fail(f"{exp_id}.notes diverged from the jobs=1 baseline: "
+            fail(f"{exp_id}.notes diverged from the baseline: "
                  f"{notes!r} != {want.notes!r}")
-    print("queue-soak: OK — results bit-identical to jobs=1 under "
+    print("queue-soak: OK — results bit-identical to the baseline under "
           f"{len(killer.kills)} mid-record SIGKILL(s) + ChaosFS flips")
     if not args.keep:
         import shutil

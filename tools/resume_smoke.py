@@ -1,10 +1,11 @@
 """End-to-end resume smoke: kill a real suite run, resume it, verify.
 
 Drives the actual CLI (``python -m repro.experiments``) the way an
-operator would:
+operator would, once at ``--jobs 1`` (the coordinator runs every task
+itself) and once at ``--jobs 2`` (forked workers):
 
-1. start ``all --jobs 2`` at test fidelity with a fixed ``--run-id``,
-   journaling into a throwaway cache;
+1. start ``all`` at test fidelity with a fixed ``--run-id``, journaling
+   into a throwaway cache;
 2. wait until the journal shows at least two finished tasks, then
    SIGTERM the process and check it exits 143 after the graceful drain;
 3. rerun with ``--resume`` and check it exits 0, re-executes zero
@@ -39,9 +40,9 @@ RUN_ID = "smoke"
 FIDELITY = ["--refs", "3000", "--scale", "0.00390625", "--iterations", "3"]
 
 
-def _cmd(cache: str, *extra: str) -> list[str]:
+def _cmd(jobs: int, cache: str, *extra: str) -> list[str]:
     return [sys.executable, "-m", "repro.experiments", "all",
-            "--jobs", "2", "--cache-dir", cache, "--grace", "2",
+            "--jobs", str(jobs), "--cache-dir", cache, "--grace", "2",
             *FIDELITY, *extra]
 
 
@@ -54,11 +55,17 @@ def main() -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = (os.path.join(REPO, "src") + os.pathsep
                          + env.get("PYTHONPATH", ""))
+    for jobs in (1, 2):
+        smoke(jobs, env)
+    return 0
+
+
+def smoke(jobs: int, env: dict) -> None:
     with tempfile.TemporaryDirectory(prefix="resume-smoke-") as cache:
         jpath = journal_path(cache, RUN_ID)
 
         proc = subprocess.Popen(
-            _cmd(cache, "--run-id", RUN_ID), env=env,
+            _cmd(jobs, cache, "--run-id", RUN_ID), env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         # wait for enough journaled progress to make the resume
         # meaningful, then interrupt mid-suite
@@ -91,7 +98,7 @@ def main() -> int:
                     if r["kind"] == TASK_FINISHED}
 
         rc = subprocess.run(
-            _cmd(cache, "--resume", RUN_ID), env=env,
+            _cmd(jobs, cache, "--resume", RUN_ID), env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             timeout=600).returncode
         if rc != 0:
@@ -107,9 +114,9 @@ def main() -> int:
         overlap = restarted & finished
         if overlap:
             fail(f"resume re-executed journaled tasks: {sorted(overlap)}")
-        print(f"resume smoke OK: {len(finished)} task(s) journaled before "
-              f"SIGTERM, {len(restarted)} launched on resume, none twice")
-    return 0
+        print(f"resume smoke OK (jobs={jobs}): {len(finished)} task(s) "
+              f"journaled before SIGTERM, {len(restarted)} launched on "
+              f"resume, none twice")
 
 
 if __name__ == "__main__":
